@@ -38,10 +38,8 @@ from .protocols import (
     relation_inputs,
     relation_protocol_programs,
     sampling_protocol_programs,
-    subgraph_state_program,
 )
 from .separation import (
-    exact_classical_distribution,
     exact_gamma,
     min_tv_affine_adversary,
     sampling_exact_law,
@@ -53,7 +51,6 @@ from .statevector import (
     build_graph_state,
     exact_distribution,
     fidelity,
-    measure_all,
     new_state,
     support,
 )

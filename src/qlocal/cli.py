@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
 Each experiment reproduces one desk-scale check and emits a report, either
-as an aligned table or as one JSON record per line. The exit status is
-nonzero iff any emitted row has ok=False.
+as an aligned table or as one JSON record per line. The exit status is 1
+if any emitted row has ok=False, and 2 for a usage error or a simulation
+error such as an exceeded resource limit.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import separation, verify
+from .errors import SimulationError
 from .network import run, run_sampled
 from .protocols import (
     GraphStateProgram,
@@ -29,19 +31,8 @@ from .topology import Topology, build_script_gd, input_nodes
 
 DEFAULT_SEED = 1234
 
-EXPERIMENTS = (
-    "relation-validity",
-    "lemma2",
-    "affine-bound",
-    "subgraph-fidelity",
-    "gamma-exact",
-    "tv-adversary",
-    "k-copies",
-    "derandomize-demo",
-)
 
-
-def _relation_validity(d, shots, seed):
+def relation_validity(d, shots, seed):
     topology = build_script_gd(d)
     valid = 0
     total = 0
@@ -110,22 +101,6 @@ def subgraph_fidelity_case(topology: Topology, assignment: dict):
     reference = build_graph_state(kept).amplitudes
     fid = float(abs(np.vdot(reference, built)) ** 2)
     return fid, result.trace.message_rounds()
-
-
-def _random_topology(rng, max_nodes=6):
-    """A random connected graph on 2..max_nodes nodes."""
-    n = int(rng.integers(2, max_nodes + 1))
-    while True:
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.5
-        ]
-        try:
-            return Topology(range(n), edges)
-        except ValueError:
-            continue
 
 
 def _subgraph_fidelity(d, shots, seed):
@@ -213,7 +188,7 @@ def run_k_copies_protocol(d: int, k: int, strategy, inputs_per_copy) -> bool:
     return True
 
 
-def _k_copies(d, k):
+def k_copies(d, k):
     _, witness = verify.best_affine_success()
     predicted = k_copies_success(d, k, witness)
     hits = 0
@@ -238,7 +213,7 @@ def xor_oracle(node, known):
     return {bit: 1.0}
 
 
-def _derandomize_demo():
+def derandomize_demo():
     cycle = Topology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     programs_for = lambda: derandomize_function_protocol(cycle, xor_oracle, 2)
     correct = 0
@@ -257,6 +232,22 @@ def _derandomize_demo():
         "total": total,
         "ok": correct == total,
     }
+
+
+# name -> (parameters, row function). The row function takes the parameters
+# in this order. --d, --k and --T are comma-separated and swept, the first one
+# outermost, with one row per combination.
+EXPERIMENTS = {
+    "relation-validity": (("d", "shots", "seed"), relation_validity),
+    "lemma2": ((), _lemma2),
+    "affine-bound": ((), _affine_bound),
+    "subgraph-fidelity": (("d", "shots", "seed"), _subgraph_fidelity),
+    "gamma-exact": (("d",), _gamma_exact),
+    "tv-adversary": (("d", "T"), _tv_adversary),
+    "k-copies": (("d", "k"), k_copies),
+    "derandomize-demo": ((), derandomize_demo),
+}
+_SWEPT = ("d", "k", "T")
 
 
 def _int_list(text: str):
@@ -289,28 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _rows_for(args):
-    name = args.experiment
-    if name == "lemma2":
-        return [_lemma2()]
-    if name == "affine-bound":
-        return [_affine_bound()]
-    if name == "derandomize-demo":
-        return [_derandomize_demo()]
-    rows = []
-    for d in args.d:
-        if d < 2 or d % 2:
-            raise ValueError(f"d must be a positive even integer, got {d}")
-        if name == "relation-validity":
-            rows.append(_relation_validity(d, args.shots, args.seed))
-        elif name == "subgraph-fidelity":
-            rows.append(_subgraph_fidelity(d, args.shots, args.seed))
-        elif name == "gamma-exact":
-            rows.append(_gamma_exact(d))
-        elif name == "tv-adversary":
-            rows.extend(_tv_adversary(d, T) for T in args.T)
-        elif name == "k-copies":
-            rows.extend(_k_copies(d, k) for k in args.k)
-    return rows
+    params, row = EXPERIMENTS[args.experiment]
+    if "d" in params:
+        for d in args.d:
+            if d < 2 or d % 2:
+                raise ValueError(f"d must be a positive even integer, got {d}")
+    ranges = [
+        getattr(args, p) if p in _SWEPT else [getattr(args, p)] for p in params
+    ]
+    return [row(*values) for values in product(*ranges)]
 
 
 def format_table(rows) -> str:
@@ -335,7 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         rows = _rows_for(args)
-    except (ValueError,) as exc:
+    except (ValueError, SimulationError) as exc:
         parser.error(str(exc))
     report = (format_table if args.format == "table" else format_records)(rows)
     if args.out:

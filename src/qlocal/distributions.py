@@ -32,12 +32,6 @@ class OutcomeDistribution:
     def probability(self, key) -> float:
         return self.entries.get(key, 0.0)
 
-    def support(self) -> frozenset:
-        return frozenset(k for k, p in self.entries.items() if p > 0)
-
-    def total(self) -> float:
-        return sum(self.entries.values())
-
     def items(self):
         return self.entries.items()
 

@@ -29,7 +29,11 @@ from .errors import (
     ResourceLimitError,
 )
 from .sparse import MAX_SLOTS, SparseState, decode_key
+from .statevector import Gate
 from .topology import Topology
+
+# Largest total randomness run_exact enumerates, in bits.
+MAX_RANDOM_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -91,20 +95,13 @@ class NodeProgram:
 class QuantumArena:
     """One global sparse statevector plus a qubit-ownership map."""
 
-    def __init__(self, max_qubits: int = MAX_SLOTS):
-        if max_qubits > MAX_SLOTS:
-            raise ResourceLimitError(f"arena supports at most {MAX_SLOTS} qubits")
-        self.max_qubits = max_qubits
+    def __init__(self):
         self.state = SparseState()
         self._slot = {}
         self._owner = {}
         self._free_slots = []
         self._next_qid = 0
         self._next_slot = 0
-
-    @property
-    def live_qubits(self) -> tuple:
-        return tuple(sorted(self._slot))
 
     def owner_of(self, qid):
         return self._owner[qid]
@@ -113,9 +110,9 @@ class QuantumArena:
         if self._free_slots:
             slot = self._free_slots.pop()
         else:
-            if self._next_slot >= self.max_qubits:
+            if self._next_slot >= MAX_SLOTS:
                 raise ResourceLimitError(
-                    f"arena qubit limit of {self.max_qubits} reached"
+                    f"arena qubit limit of {MAX_SLOTS} reached"
                 )
             slot = self._next_slot
             self._next_slot += 1
@@ -132,27 +129,14 @@ class QuantumArena:
 
     def apply(self, node, round_index, kind, qids, exponent=1):
         self._check_owned(node, round_index, qids)
-        if len(set(qids)) != len(qids):
-            raise ValueError("two-qubit gate needs distinct targets")
-        slots = [self._slot[q] for q in qids]
-        st = self.state
-        if kind == "H":
-            st.apply_h(slots[0])
-        elif kind == "S":
-            st.apply_phase(slots[0], 1j)
-        elif kind == "S_POWER":
-            if exponent not in (0, 1):
-                raise ValueError("S_POWER exponent must be a bit")
-            if exponent:
-                st.apply_phase(slots[0], 1j)
-        elif kind == "CNOT":
-            st.apply_cnot(slots[0], slots[1])
-        elif kind == "CZ":
-            st.apply_cphase(slots[0], slots[1], -1.0)
-        elif kind == "CS":
-            st.apply_cphase(slots[0], slots[1], 1j)
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
+        gate = Gate(kind, qids, exponent)
+        slots = [self._slot[q] for q in gate.targets]
+        if gate.kind == "H":
+            self.state.apply_h(slots[0])
+        elif gate.kind == "CNOT":
+            self.state.apply_cnot(slots[0], slots[1])
+        elif gate.phase != 1:  # S_POWER with exponent 0 is the identity
+            self.state.apply_phase(slots, gate.phase)
 
     def discard(self, node, round_index, qid):
         self._check_owned(node, round_index, [qid])
@@ -293,7 +277,6 @@ def _execute_rounds(
     inputs=None,
     classical_only=False,
     randomness_overrides=None,
-    max_qubits: int = MAX_SLOTS,
 ):
     """Run init plus all round calls; returns (contexts, arena, messages)."""
     if set(programs) != set(topology.nodes):
@@ -302,7 +285,7 @@ def _execute_rounds(
         raise ValueError("round count must be nonnegative")
     inputs = inputs or {}
     order = list(topology.nodes)
-    arena = QuantumArena(max_qubits=max_qubits)
+    arena = QuantumArena()
     trace_messages = []
     contexts = {}
     for u in order:
@@ -384,6 +367,19 @@ def _finalize_all(programs, contexts, order, key, flagged):
     return {u: programs[u].finalize(per_node[u]) for u in order}
 
 
+def _sample_outputs(programs, contexts, order, arena, seed, shots) -> list:
+    """Draw `shots` terminal measurements and finalize every node on each."""
+    flagged = _flagged_qubits(contexts, order)
+    if flagged:
+        rng = np.random.default_rng(seed)
+        keys = arena.sample_over([q for _, q in flagged], rng, shots)
+    else:
+        keys = np.zeros(shots, dtype=np.int64)
+    return [
+        _finalize_all(programs, contexts, order, int(k), flagged) for k in keys
+    ]
+
+
 def run(
     topology: Topology,
     programs: dict,
@@ -392,21 +388,14 @@ def run(
     inputs=None,
     classical_only=False,
     randomness_overrides=None,
-    max_qubits: int = MAX_SLOTS,
 ) -> ExecutionResult:
     """One full execution: T rounds, one terminal measurement, finalize."""
     order = list(topology.nodes)
     contexts, arena, messages = _execute_rounds(
         topology, programs, rounds, seed, inputs, classical_only,
-        randomness_overrides, max_qubits,
+        randomness_overrides,
     )
-    flagged = _flagged_qubits(contexts, order)
-    if flagged:
-        rng = np.random.default_rng(seed)
-        key = int(arena.sample_over([q for _, q in flagged], rng, 1)[0])
-    else:
-        key = 0
-    outputs = _finalize_all(programs, contexts, order, key, flagged)
+    (outputs,) = _sample_outputs(programs, contexts, order, arena, seed, 1)
     trace = ExecutionTrace(rounds=rounds, messages=messages, outputs=outputs)
     return ExecutionResult(outputs, trace, arena)
 
@@ -431,15 +420,7 @@ def run_sampled(
     contexts, arena, _ = _execute_rounds(
         topology, programs, rounds, seed, inputs, False, randomness_overrides
     )
-    flagged = _flagged_qubits(contexts, order)
-    if flagged:
-        rng = np.random.default_rng(seed)
-        keys = arena.sample_over([q for _, q in flagged], rng, shots)
-    else:
-        keys = np.zeros(shots, dtype=np.int64)
-    return [
-        _finalize_all(programs, contexts, order, int(k), flagged) for k in keys
-    ]
+    return _sample_outputs(programs, contexts, order, arena, seed, shots)
 
 
 def _randomness_branches(topology, make_programs, max_random_bits):
@@ -468,7 +449,6 @@ def run_exact(
     rounds: int,
     inputs=None,
     classical_only=False,
-    max_random_bits: int = 24,
 ) -> OutcomeDistribution:
     """The exact output law: enumerate every randomness branch, and within
     each branch the exact terminal-measurement distribution.
@@ -479,7 +459,7 @@ def run_exact(
     order = None
     entries = {}
     for overrides, weight in _randomness_branches(
-        topology, make_programs, max_random_bits
+        topology, make_programs, MAX_RANDOM_BITS
     ):
         programs = make_programs()
         contexts, arena, _ = _execute_rounds(

@@ -111,10 +111,6 @@ class GraphStateProgram(NodeProgram):
         return {}
 
 
-def subgraph_state_program(c) -> GraphStateProgram:
-    return GraphStateProgram(c)
-
-
 class GraphStateSampleProgram(GraphStateProgram):
     """Subgraph construction followed by an H-basis measurement of the
     node's qubit; used by the locality test suite."""
@@ -211,27 +207,6 @@ def sampling_protocol_programs(d: int) -> dict:
 
 def k_copies_topology(d: int, k: int) -> Topology:
     return disjoint_copies(build_script_gd(d), k)
-
-
-def k_copies_programs(d: int, k: int, inputs_per_copy) -> tuple:
-    """Programs and inputs for k independent copies of the relation game.
-
-    Returns (programs, inputs); node u of copy c has identifier (c, u).
-    """
-    inputs_per_copy = [_check_bits(b) for b in inputs_per_copy]
-    if len(inputs_per_copy) != k:
-        raise ValueError("need one input triple per copy")
-    programs = {
-        (c, u): RelationProgram()
-        for c in range(k)
-        for u in build_script_gd(d).nodes
-    }
-    inputs = {
-        (c, w): bytes([bit])
-        for c in range(k)
-        for w, bit in zip(input_nodes(d), inputs_per_copy[c])
-    }
-    return programs, inputs
 
 
 def _check_bits(b) -> tuple:

@@ -67,20 +67,6 @@ def sampling_exact_law(d: int) -> OutcomeDistribution:
     return OutcomeDistribution(entries, space=gamma_space(d))
 
 
-def exact_classical_distribution(
-    make_programs, topology, rounds: int, inputs=None, max_random_bits: int = 24
-) -> OutcomeDistribution:
-    """Exact output law of a finite-randomness classical protocol."""
-    return run_exact(
-        topology,
-        make_programs,
-        rounds,
-        inputs=inputs,
-        classical_only=True,
-        max_random_bits=max_random_bits,
-    )
-
-
 def adversary_gamma_law(
     d: int, strategy: AffineStrategy, biases
 ) -> OutcomeDistribution:

@@ -2,9 +2,10 @@
 
 Basis indices are stored as uint64 bit patterns over up to 63 slot
 positions, so a network execution can hold many short-lived registers as
-long as the superposition's support stays manageable. All gate kinds the
-protocols need (H, S, S_POWER, CNOT, CZ, CS) map sparse states to sparse
-states with at most a factor-2 support growth per Hadamard.
+long as the superposition's support stays manageable. The gate set of
+`statevector.GATES` needs three kernels: H (at most a factor-2 support
+growth), CNOT (a permutation of indices) and phase (a multiply of the
+selected amplitudes).
 """
 from __future__ import annotations
 
@@ -28,9 +29,6 @@ class SparseState:
     def support_size(self) -> int:
         return len(self.indices)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
     def _bit(self, pos: int) -> np.ndarray:
         return (self.indices >> np.uint64(pos)) & np.uint64(1)
 
@@ -53,17 +51,17 @@ class SparseState:
         self.indices = uniq[keep]
         self.amps = merged[keep]
 
-    def apply_phase(self, pos: int, phase: complex):
-        sel = self._bit(pos).astype(bool)
-        self.amps[sel] *= phase
+    def apply_phase(self, positions, phase: complex):
+        """Multiply every basis state whose bits at `positions` are all 1
+        by `phase`."""
+        sel = self._bit(positions[0])
+        for pos in positions[1:]:
+            sel = sel & self._bit(pos)
+        self.amps[sel.astype(bool)] *= phase
 
     def apply_cnot(self, control: int, target: int):
         flip = self._bit(control)
         self.indices = self.indices ^ (flip << np.uint64(target))
-
-    def apply_cphase(self, pos_a: int, pos_b: int, phase: complex):
-        sel = (self._bit(pos_a) & self._bit(pos_b)).astype(bool)
-        self.amps[sel] *= phase
 
     def remove_product_qubit(self, pos: int, tol: float = 1e-9):
         """Drop a qubit after verifying it is unentangled with the rest.

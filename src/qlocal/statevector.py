@@ -1,13 +1,12 @@
 """Exact dense statevector engine.
 
-Gate set: H, S, CNOT, CZ, CS, and S_POWER (S raised to a classical bit).
-Qubit q corresponds to axis q of the amplitude tensor reshaped to [2]*n,
-i.e. bit q of a basis index read in big-endian order.
+Gate set: the kinds in `GATES` (H, CNOT and the phase gates S, S_POWER, CZ
+and CS). Qubit q corresponds to axis q of the amplitude tensor reshaped to
+[2]*n, i.e. bit q of a basis index read in big-endian order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,14 +18,18 @@ DEFAULT_MAX_QUBITS = 26
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-S_MATRIX = np.array([[1, 0], [0, 1j]], dtype=complex)
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
-CS_MATRIX = np.diag([1, 1, 1, 1j]).astype(complex)
 
-GATE_ARITY = {"H": 1, "S": 1, "S_POWER": 1, "CNOT": 2, "CZ": 2, "CS": 2}
+# The one gate table both engines dispatch on: kind -> (arity, phase). A
+# phase gate multiplies every basis state whose target bits are all 1 by its
+# phase; H and CNOT have none. S_POWER is S raised to a classical bit.
+GATES = {
+    "H": (1, None),
+    "CNOT": (2, None),
+    "S": (1, 1j),
+    "S_POWER": (1, 1j),
+    "CZ": (2, -1.0),
+    "CS": (2, 1j),
+}
 
 
 @dataclass(frozen=True)
@@ -36,16 +39,25 @@ class Gate:
     exponent: int = 1
 
     def __post_init__(self):
-        if self.kind not in GATE_ARITY:
+        if self.kind not in GATES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         targets = tuple(self.targets)
         object.__setattr__(self, "targets", targets)
-        if len(targets) != GATE_ARITY[self.kind]:
-            raise ValueError(f"{self.kind} expects {GATE_ARITY[self.kind]} targets")
+        arity = GATES[self.kind][0]
+        if len(targets) != arity:
+            raise ValueError(f"{self.kind} expects {arity} targets")
         if len(set(targets)) != len(targets):
             raise ValueError(f"duplicate targets in {self.kind}")
         if self.kind == "S_POWER" and self.exponent not in (0, 1):
             raise ValueError("S_POWER exponent must be a bit")
+
+    @property
+    def phase(self):
+        """The phase of a phase gate (1 for S_POWER with exponent 0), or
+        None for H and CNOT."""
+        if self.kind == "S_POWER" and not self.exponent:
+            return 1
+        return GATES[self.kind][1]
 
 
 def h(q) -> Gate:
@@ -70,26 +82,6 @@ def cz(a, b) -> Gate:
 
 def cs(a, b) -> Gate:
     return Gate("CS", (a, b))
-
-
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """The unitary matrix of a gate (2x2 or 4x4)."""
-    if gate.kind == "H":
-        return H_MATRIX
-    if gate.kind == "S":
-        return S_MATRIX
-    if gate.kind == "S_POWER":
-        return S_MATRIX if gate.exponent else np.eye(2, dtype=complex)
-    if gate.kind == "CNOT":
-        return CNOT_MATRIX
-    if gate.kind == "CZ":
-        return CZ_MATRIX
-    return CS_MATRIX
-
-
-class Bitstring(NamedTuple):
-    bits: tuple
-    qubit_order: tuple
 
 
 @dataclass
@@ -120,28 +112,24 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         if not (0 <= q < n):
             raise ValueError(f"target {q} out of range for {n} qubits")
     amps = state.amplitudes.reshape([2] * n) if n else state.amplitudes
-    kind = gate.kind
-    if kind in ("H", "S", "S_POWER"):
+    if gate.kind == "H":
         (q,) = gate.targets
-        if kind == "S_POWER" and gate.exponent == 0:
-            return StateVector(n, state.amplitudes.copy())
-        m = gate_matrix(gate)
         moved = np.moveaxis(amps, q, -1)
-        out = np.moveaxis(moved @ m.T, -1, q)
+        out = np.moveaxis(moved @ H_MATRIX.T, -1, q)
         return StateVector(n, np.ascontiguousarray(out).reshape(-1))
-    a, b = gate.targets
     out = amps.copy()
-    if kind == "CNOT":
+    if gate.kind == "CNOT":
+        a, b = gate.targets
         sel1 = [slice(None)] * n
         sel1[a], sel1[b] = 1, 0
         sel2 = [slice(None)] * n
         sel2[a], sel2[b] = 1, 1
         out[tuple(sel1)], out[tuple(sel2)] = amps[tuple(sel2)], amps[tuple(sel1)]
     else:
-        phase = -1.0 if kind == "CZ" else 1j
         sel = [slice(None)] * n
-        sel[a], sel[b] = 1, 1
-        out[tuple(sel)] = amps[tuple(sel)] * phase
+        for q in gate.targets:
+            sel[q] = 1
+        out[tuple(sel)] = amps[tuple(sel)] * gate.phase
     return StateVector(n, out.reshape(-1))
 
 
@@ -163,15 +151,6 @@ def build_graph_state(topology: Topology, max_qubits: int = DEFAULT_MAX_QUBITS) 
 
 def _index_bits(index: int, n: int) -> tuple:
     return tuple((index >> (n - 1 - q)) & 1 for q in range(n))
-
-
-def measure_all(state: StateVector, rng: np.random.Generator) -> Bitstring:
-    """Sample a full computational-basis measurement (Born rule)."""
-    n = state.num_qubits
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    index = int(rng.choice(len(probs), p=probs))
-    return Bitstring(_index_bits(index, n), tuple(range(n)))
 
 
 def exact_distribution(state: StateVector) -> OutcomeDistribution:
@@ -200,9 +179,3 @@ def fidelity(a: StateVector, b: StateVector) -> float:
         )
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
-
-def kron(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; qubits of `a` come first."""
-    return StateVector(
-        a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes)
-    )

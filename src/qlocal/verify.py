@@ -93,10 +93,7 @@ def check_prop1(b, p: ParityTuple) -> bool:
     if case is None:
         return True
     mask, required = case
-    acc = 0
-    for m, bit in zip(mask, bits):
-        acc ^= m & bit
-    return acc == required
+    return _masked_parity(bits, mask) == required
 
 
 def parity_success_count(strategy: AffineStrategy) -> int:

@@ -6,10 +6,9 @@ import itertools
 import numpy as np
 
 from qlocal.cli import (
-    _derandomize_demo,
-    _k_copies,
-    _random_topology,
-    _relation_validity,
+    derandomize_demo,
+    k_copies,
+    relation_validity,
     subgraph_fidelity_case,
 )
 from qlocal.distributions import marginal, tv_distance
@@ -21,7 +20,7 @@ from qlocal.protocols import (
     relation_inputs,
 )
 from qlocal.separation import exact_gamma, min_tv_affine_adversary, sampling_exact_law
-from qlocal.topology import build_script_gd, neighborhood
+from qlocal.topology import Topology, build_script_gd, neighborhood
 from qlocal.verify import (
     best_affine_success,
     check_prop1,
@@ -30,6 +29,22 @@ from qlocal.verify import (
     lemma2_exhaustive,
     parities,
 )
+
+
+def _random_topology(rng, max_nodes=6):
+    """A random connected graph on 2..max_nodes nodes."""
+    n = int(rng.integers(2, max_nodes + 1))
+    while True:
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.5
+        ]
+        try:
+            return Topology(range(n), edges)
+        except ValueError:
+            continue
 
 
 def test_criterion_1_two_round_subgraph_construction(acceptance):
@@ -55,7 +70,7 @@ def test_criterion_1_two_round_subgraph_construction(acceptance):
 
 
 def test_criterion_2_quantum_relation_validity(acceptance):
-    rows = [_relation_validity(d, shots=500, seed=99) for d in (2, 4, 6)]
+    rows = [relation_validity(d, shots=500, seed=99) for d in (2, 4, 6)]
     ok = all(r["valid"] == r["total"] == 4000 for r in rows)
     detail = ", ".join(f"d={r['d']}: {r['valid']}/{r['total']}" for r in rows)
     acceptance(2, ok, f"quantum protocol validity ({detail})")
@@ -106,7 +121,7 @@ def test_criterion_5_best_affine_success_is_seven_eighths(acceptance):
 
 
 def test_criterion_6_k_copies_amplification(acceptance):
-    rows = [_k_copies(4, k) for k in (1, 2, 3)]
+    rows = [k_copies(4, k) for k in (1, 2, 3)]
     ok = all(r["ok"] for r in rows)
     detail = ", ".join(f"k={r['k']}: {r['measured']}" for r in rows)
     acceptance(6, ok, f"k-copy success exactly (7/8)^k ({detail})")
@@ -185,7 +200,7 @@ def test_criterion_9_outputs_depend_only_on_the_t_neighborhood(acceptance):
 
 
 def test_criterion_10_derandomized_xor_on_a_cycle(acceptance):
-    row = _derandomize_demo()
+    row = derandomize_demo()
     acceptance(10, row["ok"],
                f"derandomized 2-round XOR on the 4-cycle correct on "
                f"{row['correct']}/{row['total']} inputs")

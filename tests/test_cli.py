@@ -57,6 +57,18 @@ def test_odd_d_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("experiment", ["relation-validity",
+                                        "subgraph-fidelity"])
+def test_simulation_error_is_usage_error(experiment, capsys):
+    # d=8 needs more than the arena's 63 qubit slots at once
+    with pytest.raises(SystemExit) as exc:
+        main(["--experiment", experiment, "--d", "8", "--shots", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "arena qubit limit of 63 reached" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["--experiment", "nope"])

@@ -1,5 +1,9 @@
-"""Engine semantics: round timing, locality enforcement, reproducibility."""
+"""Engine semantics: round timing, locality enforcement, reproducibility,
+gate validation, and agreement of the sparse arena with the dense engine."""
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlocal.errors import (
     LocalityError,
@@ -10,6 +14,7 @@ from qlocal.network import (
     LocalView,
     Message,
     NodeProgram,
+    QuantumArena,
     empirical_distribution,
     node_randomness,
     role_of,
@@ -17,6 +22,7 @@ from qlocal.network import (
     run_exact,
     run_sampled,
 )
+from qlocal.statevector import GATES, Gate, apply_gate, new_state
 from qlocal.topology import Topology
 
 PATH2 = Topology([0, 1], [(0, 1)])
@@ -78,6 +84,51 @@ def test_gate_on_unowned_qubit_raises():
     with pytest.raises(LocalityError) as err:
         run(PATH2, {0: Sender(), 1: NodeProgram()}, rounds=1)
     assert err.value.node == 0
+
+
+@pytest.mark.parametrize("kind,arity", [("H", 2), ("S", 2), ("S_POWER", 2),
+                                        ("CNOT", 1), ("CZ", 1)])
+def test_gate_with_wrong_target_count_rejected(kind, arity):
+    class Misuse(NodeProgram):
+        def round(self, t, inbox):
+            qubits = [self.ctx.new_qubit() for _ in range(arity)]
+            self.ctx.apply(kind, *qubits)
+            return {}
+
+    with pytest.raises(ValueError):
+        run(PATH2, {0: Misuse(), 1: NodeProgram()}, rounds=0)
+
+
+def test_locality_is_checked_before_the_gate():
+    arena = QuantumArena()
+    mine, theirs = arena.create(0), arena.create(1)
+    with pytest.raises(LocalityError):
+        arena.apply(0, 0, "H", (mine, theirs))
+    with pytest.raises(LocalityError):
+        arena.apply(0, 0, "CNOT", (theirs,))
+
+
+_QUBITS = 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(GATES)),
+                  st.permutations(range(_QUBITS)), st.integers(0, 1)),
+        max_size=30,
+    )
+)
+def test_arena_agrees_with_dense_engine(ops):
+    arena = QuantumArena()
+    qids = [arena.create("u") for _ in range(_QUBITS)]
+    state = new_state(_QUBITS)
+    for kind, order, exponent in ops:
+        targets = order[:GATES[kind][0]]
+        arena.apply("u", 0, kind, [qids[q] for q in targets], exponent)
+        state = apply_gate(state, Gate(kind, targets, exponent))
+    assert np.allclose(arena.dense_state(qids), state.amplitudes,
+                       rtol=0, atol=1e-12)
 
 
 def test_sending_unowned_qubit_raises():

@@ -13,9 +13,7 @@ from qlocal.statevector import (
     cz,
     exact_distribution,
     fidelity,
-    gate_matrix,
     h,
-    measure_all,
     new_state,
     s,
     s_power,
@@ -104,18 +102,6 @@ def test_graph_state_has_full_support():
     assert len(support(build_graph_state(topo))) == 16
 
 
-def test_bell_sampling_statistics():
-    state = apply_gate(new_state(2), h(0))
-    state = apply_gate(state, cnot(0, 1))
-    rng = np.random.default_rng(11)
-    counts = {}
-    for _ in range(10_000):
-        bits = measure_all(state, rng).bits
-        counts[bits] = counts.get(bits, 0) + 1
-    assert set(counts) == {(0, 0), (1, 1)}
-    assert abs(counts[(0, 0)] / 10_000 - 0.5) < 0.02
-
-
 def test_exact_distribution_normalizes():
     topo = Topology(range(3), [(0, 1), (1, 2)])
     dist = exact_distribution(build_graph_state(topo))
@@ -143,10 +129,3 @@ def test_random_circuits_preserve_norm(ops):
         elif a != b:
             state = apply_gate(state, Gate(kind, (a, b)))
     assert abs(state.norm_sq() - 1.0) < 1e-9
-
-
-@pytest.mark.parametrize("kind,arity", [("H", 1), ("S", 1), ("CNOT", 2),
-                                        ("CZ", 2), ("CS", 2)])
-def test_gate_matrices_are_unitary(kind, arity):
-    m = gate_matrix(Gate(kind, tuple(range(arity))))
-    assert np.allclose(m @ m.conj().T, np.eye(2**arity))
