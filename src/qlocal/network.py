@@ -34,6 +34,9 @@ from .topology import Topology
 
 # Largest total randomness run_exact enumerates, in bits.
 MAX_RANDOM_BITS = 24
+# Largest total randomness empirical_distribution stratifies shots over, in
+# bits; above it, every shot is a separate execution.
+MAX_STRATIFIED_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,8 @@ class QuantumArena:
         self._next_slot = 0
 
     def owner_of(self, qid):
-        return self._owner[qid]
+        """The owning node, or None for a qubit that is not live."""
+        return self._owner.get(qid)
 
     def create(self, owner) -> int:
         if self._free_slots:
@@ -124,7 +128,7 @@ class QuantumArena:
 
     def _check_owned(self, node, round_index, qids):
         for qid in qids:
-            if self._owner.get(qid) != node:
+            if self.owner_of(qid) != node:
                 raise LocalityError(node, round_index, qid)
 
     def apply(self, node, round_index, kind, qids, exponent=1):
@@ -502,8 +506,10 @@ def empirical_distribution(
         getattr(probe[u], "randomness_bits", 0) for u in topology.nodes
     )
     counts = {}
-    if total_bits <= 16:
-        branches = list(_randomness_branches(topology, make_programs, 16))
+    if total_bits <= MAX_STRATIFIED_BITS:
+        branches = list(
+            _randomness_branches(topology, make_programs, MAX_STRATIFIED_BITS)
+        )
         per_branch = rng.multinomial(shots, [w for _, w in branches])
         for (overrides, _), n in zip(branches, per_branch):
             if n == 0:

@@ -5,7 +5,9 @@ positions, so a network execution can hold many short-lived registers as
 long as the superposition's support stays manageable. The gate set of
 `statevector.GATES` needs three kernels: H (at most a factor-2 support
 growth), CNOT (a permutation of indices) and phase (a multiply of the
-selected amplitudes).
+selected amplitudes). H on a fresh qubit (bit zero in every row) copies
+the rows with no sort; H on any other qubit sorts the rows once to pair
+them. Rows are kept in no particular index order.
 """
 from __future__ import annotations
 
@@ -33,35 +35,67 @@ class SparseState:
         return (self.indices >> np.uint64(pos)) & np.uint64(1)
 
     def bit_always_zero(self, pos: int) -> bool:
-        return not np.any(self._bit(pos))
+        return not np.any(self.indices & np.uint64(1 << pos))
 
     def apply_h(self, pos: int):
         mask = np.uint64(1 << pos)
-        bits = self._bit(pos).astype(bool)
-        zero_idx = self.indices & ~mask
-        one_idx = self.indices | mask
-        to_one = np.where(bits, -self.amps, self.amps) * _INV_SQRT2
-        to_zero = self.amps * _INV_SQRT2
-        idx = np.concatenate([zero_idx, one_idx])
-        amp = np.concatenate([to_zero, to_one])
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        merged = np.zeros(len(uniq), dtype=complex)
-        np.add.at(merged, inverse, amp)
-        keep = np.abs(merged) > _PRUNE_TOL
-        self.indices = uniq[keep]
-        self.amps = merged[keep]
+        idx = self.indices
+        bit = (idx >> np.uint64(pos)) & np.uint64(1)
+        if not bit.any():
+            # Fresh qubit: every row splits into itself and its |1> copy.
+            idx, x = _pruned(idx, _over_sqrt2(self.amps.copy()))
+            self.indices = np.concatenate([idx, idx | mask])
+            self.amps = np.concatenate([x, x])
+            return
+        # Sort on the index with the target bit moved to the bottom (slots
+        # stop at 62, so the shift cannot overflow): the rows an H mixes
+        # become neighbours, the bit-0 row first. The rows arrive in long
+        # sorted runs, which the stable sort merges.
+        key = (idx & ~mask) << np.uint64(1)
+        key |= bit
+        order = np.argsort(key, kind="stable")
+        del key, bit
+        idx = idx[order]
+        x = _over_sqrt2(self.amps[order])
+        if np.array_equal(idx[1::2], idx[0::2] | mask):
+            x0, x1 = x[0::2], x[1::2]
+        else:
+            # Some rows lack their partner: give it amplitude zero.
+            base = idx & ~mask
+            first = np.empty(len(idx), dtype=bool)
+            first[0] = True
+            np.not_equal(base[1:], base[:-1], out=first[1:])
+            group = np.cumsum(first) - 1
+            bit_set = base != idx
+            base = base[first]
+            x0 = np.zeros(len(base), dtype=complex)
+            x1 = np.zeros(len(base), dtype=complex)
+            x0[group[~bit_set]] = x[~bit_set]
+            x1[group[bit_set]] = x[bit_set]
+            idx = np.empty(2 * len(base), dtype=np.uint64)
+            idx[0::2] = base
+            np.bitwise_or(base, mask, out=idx[1::2])
+        amps = np.empty(len(idx), dtype=complex)
+        np.add(x0, x1, out=amps[0::2])
+        np.subtract(x0, x1, out=amps[1::2])
+        self.indices, self.amps = _pruned(idx, amps)
 
     def apply_phase(self, positions, phase: complex):
         """Multiply every basis state whose bits at `positions` are all 1
         by `phase`."""
-        sel = self._bit(positions[0])
-        for pos in positions[1:]:
-            sel = sel & self._bit(pos)
-        self.amps[sel.astype(bool)] *= phase
+        m = np.uint64(0)
+        for pos in positions:
+            m |= np.uint64(1 << pos)
+        np.multiply(self.amps, phase, out=self.amps,
+                    where=(self.indices & m) == m)
 
     def apply_cnot(self, control: int, target: int):
-        flip = self._bit(control)
-        self.indices = self.indices ^ (flip << np.uint64(target))
+        flip = self.indices & np.uint64(1 << control)
+        if target > control:
+            flip <<= np.uint64(target - control)
+        else:
+            flip >>= np.uint64(control - target)
+        self.indices ^= flip
 
     def remove_product_qubit(self, pos: int, tol: float = 1e-9):
         """Drop a qubit after verifying it is unentangled with the rest.
@@ -70,7 +104,7 @@ class SparseState:
         remaining state is not preserved.
         """
         mask = np.uint64(1 << pos)
-        bits = self._bit(pos).astype(bool)
+        bits = (self.indices & mask) != 0
         if not bits.any():
             return
         if bits.all():
@@ -144,6 +178,25 @@ class SparseState:
             flat |= self._bit(pos).astype(np.int64) << (n - 1 - j)
         out[flat] = self.amps
         return out
+
+
+def _over_sqrt2(amps: np.ndarray) -> np.ndarray:
+    """Multiply amplitudes by 1/sqrt(2) in place, as H does before it adds.
+
+    Adding +0.0 turns -0.0 into +0.0, so a sum of two scaled amplitudes
+    has the bits of a scatter-add into zeros.
+    """
+    amps *= _INV_SQRT2
+    amps += 0.0
+    return amps
+
+
+def _pruned(idx: np.ndarray, amps: np.ndarray):
+    """Drop the rows whose amplitude is within `_PRUNE_TOL` of zero."""
+    keep = np.abs(amps) > _PRUNE_TOL
+    if keep.all():
+        return idx, amps
+    return idx[keep], amps[keep]
 
 
 def decode_key(key: int, width: int) -> tuple:

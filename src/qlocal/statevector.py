@@ -48,8 +48,11 @@ class Gate:
             raise ValueError(f"{self.kind} expects {arity} targets")
         if len(set(targets)) != len(targets):
             raise ValueError(f"duplicate targets in {self.kind}")
-        if self.kind == "S_POWER" and self.exponent not in (0, 1):
-            raise ValueError("S_POWER exponent must be a bit")
+        if self.kind == "S_POWER":
+            if self.exponent not in (0, 1):
+                raise ValueError("S_POWER exponent must be a bit")
+        elif self.exponent != 1:
+            raise ValueError(f"{self.kind} takes no exponent")
 
     @property
     def phase(self):

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Fixed examples, no example database: a result must not depend on what an
+# earlier run left in .hypothesis/.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 _ACCEPTANCE_LINES = []
 

@@ -114,8 +114,13 @@ _QUBITS = 5
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(sorted(GATES)),
-                  st.permutations(range(_QUBITS)), st.integers(0, 1)),
+        st.sampled_from(sorted(GATES)).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind),
+                st.permutations(range(_QUBITS)),
+                st.integers(0, 1) if kind == "S_POWER" else st.just(1),
+            )
+        ),
         max_size=30,
     )
 )
@@ -129,6 +134,88 @@ def test_arena_agrees_with_dense_engine(ops):
         state = apply_gate(state, Gate(kind, targets, exponent))
     assert np.allclose(arena.dense_state(qids), state.amplitudes,
                        rtol=0, atol=1e-12)
+
+
+def test_exponent_on_a_gate_without_one_rejected():
+    arena = QuantumArena()
+    q = arena.create(0)
+    with pytest.raises(ValueError):
+        arena.apply(0, 0, "S", (q,), exponent=0)
+
+
+_FUZZ_ROUNDS = 2
+_NEVER_CREATED = 99
+
+
+class Holder(NodeProgram):
+    """Owns one qubit for the whole execution."""
+
+    def init(self, ctx):
+        self.ctx = ctx
+        self.qubit = ctx.new_qubit()
+
+
+class Intruder(NodeProgram):
+    """Owns `mine`, hands `gone` to node 1 in round call 0 and has
+    discarded `dropped`; in round call `when` it applies `action` to the
+    qubit named by `target`, which it does not own."""
+
+    def __init__(self, holder, when, target, action):
+        self.holder = holder
+        self.when, self.target, self.action = when, target, action
+
+    def init(self, ctx):
+        self.ctx = ctx
+        self.mine = ctx.new_qubit()
+        self.gone = ctx.new_qubit()
+        self.dropped = ctx.new_qubit()
+        ctx.discard(self.dropped)
+
+    def round(self, t, inbox):
+        out = {1: Message(b"", (self.gone,))} if t == 0 else {}
+        if t != self.when:
+            return out
+        q = {
+            "foreign": self.holder.qubit,
+            "sent": self.gone,
+            "discarded": self.dropped,
+            "never-created": _NEVER_CREATED,
+        }[self.target]
+        if self.action == "send":
+            out[1] = Message(b"", out.get(1, Message()).qubits + (q,))
+        elif self.action == "measure":
+            self.ctx.measure(q)
+        elif self.action == "discard":
+            self.ctx.discard(q)
+        elif self.action == "CNOT":
+            self.ctx.apply("CNOT", self.mine, q)
+        else:
+            self.ctx.apply(self.action, q)
+        return out
+
+
+def _intrusion_run(when, target, action):
+    holder = Holder()
+    programs = {0: Intruder(holder, when, target, action), 1: holder}
+    return run(PATH2, programs, rounds=_FUZZ_ROUNDS)
+
+
+def test_intruder_without_misuse_runs():
+    _intrusion_run(None, "foreign", "H")
+
+
+# In round call 0 nothing has been delivered yet, so "already sent" there
+# means listing `gone` a second time in the same round call.
+@pytest.mark.parametrize("when,target,action", [
+    (when, target, action)
+    for when in range(_FUZZ_ROUNDS + 1)
+    for target in ("foreign", "sent", "discarded", "never-created")
+    for action in ("H", "CNOT", "measure", "discard", "send")
+    if not (when == 0 and target == "sent" and action != "send")
+])
+def test_locality_fuzz(when, target, action):
+    with pytest.raises((LocalityError, ProtocolError)):
+        _intrusion_run(when, target, action)
 
 
 def test_sending_unowned_qubit_raises():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qlocal.errors import ResourceLimitError
 from qlocal.statevector import (
+    GATES,
     Gate,
     apply_gate,
     build_graph_state,
@@ -88,6 +89,16 @@ def test_gate_validation():
         Gate("NOPE", (0,))
     with pytest.raises(ValueError):
         s_power(2, 0)
+
+
+@pytest.mark.parametrize("kind,exponent", [
+    (kind, exponent)
+    for kind in sorted(GATES)
+    for exponent in ((2, -1) if kind == "S_POWER" else (0, 2, 7))
+])
+def test_gate_rejects_exponent(kind, exponent):
+    with pytest.raises(ValueError):
+        Gate(kind, tuple(range(GATES[kind][0])), exponent)
 
 
 def test_path_graph_state_amplitudes():
