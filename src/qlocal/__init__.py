@@ -5,9 +5,7 @@ built on top of it."""
 from .distributions import (
     OutcomeDistribution,
     from_counts,
-    load_distribution,
     marginal,
-    save_distribution,
     tv_distance,
 )
 from .errors import (

@@ -6,7 +6,6 @@ when their spaces match.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 _SUM_TOL = 1e-12
@@ -16,12 +15,8 @@ _SUM_TOL = 1e-12
 class OutcomeDistribution:
     entries: dict
     space: tuple
-    kind: str = "exact"  # "exact" or "empirical"
-    shots: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("exact", "empirical"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
         for p in self.entries.values():
             if p < -_SUM_TOL:
                 raise ValueError("negative probability")
@@ -39,15 +34,12 @@ class OutcomeDistribution:
         return len(self.entries)
 
 
-def from_counts(counts: dict, space, shots=None) -> OutcomeDistribution:
+def from_counts(counts: dict, space) -> OutcomeDistribution:
     total = sum(counts.values())
     if total <= 0:
         raise ValueError("empty count table")
     return OutcomeDistribution(
-        {k: c / total for k, c in counts.items()},
-        space=space,
-        kind="empirical",
-        shots=shots if shots is not None else total,
+        {k: c / total for k, c in counts.items()}, space=space
     )
 
 
@@ -88,54 +80,5 @@ def marginal(dist: OutcomeDistribution, coordinate) -> OutcomeDistribution:
         c = getter(key)
         out[c] = out.get(c, 0.0) + prob
     return OutcomeDistribution(
-        out,
-        space=("marginal", dist.space, str(coordinate)),
-        kind=dist.kind,
-        shots=dist.shots,
-    )
-
-
-def _encode_key(key):
-    if isinstance(key, bytes):
-        return {"__bytes__": key.hex()}
-    if isinstance(key, (tuple, list)):
-        return [_encode_key(k) for k in key]
-    return key
-
-
-def _decode_key(obj):
-    if isinstance(obj, dict) and "__bytes__" in obj:
-        return bytes.fromhex(obj["__bytes__"])
-    if isinstance(obj, list):
-        return tuple(_decode_key(o) for o in obj)
-    return obj
-
-
-def save_distribution(dist: OutcomeDistribution, path):
-    """Write a distribution as a schema header line plus one record per line."""
-    with open(path, "w") as fh:
-        header = {"space": _encode_key(dist.space), "kind": dist.kind}
-        if dist.shots is not None:
-            header["shots"] = dist.shots
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for key in sorted(dist.entries, key=repr):
-            fh.write(
-                json.dumps(_encode_key(key)) + "\t" + repr(dist.entries[key]) + "\n"
-            )
-
-
-def load_distribution(path) -> OutcomeDistribution:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        entries = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            key_json, prob = line.rstrip("\n").split("\t")
-            entries[_decode_key(json.loads(key_json))] = float(prob)
-    return OutcomeDistribution(
-        entries,
-        space=_decode_key(header["space"]),
-        kind=header["kind"],
-        shots=header.get("shots"),
+        out, space=("marginal", dist.space, str(coordinate))
     )

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,32 +226,11 @@ class TraceRecord:
 @dataclass
 class ExecutionTrace:
     rounds: int
-    messages: list = field(default_factory=list)
-    outputs: dict = field(default_factory=dict)
+    messages: list
+    outputs: dict
 
     def message_rounds(self) -> int:
         return len({m.round_index for m in self.messages})
-
-    def records(self):
-        for m in self.messages:
-            yield {
-                "round": m.round_index,
-                "from": repr(m.sender),
-                "to": repr(m.receiver),
-                "payload_len": m.payload_len,
-                "qubits": list(m.qubits),
-            }
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(r, sort_keys=True) for r in self.records()]
-        lines.append(
-            json.dumps(
-                {"outputs": {repr(k): v.hex() for k, v in sorted(
-                    self.outputs.items(), key=lambda kv: repr(kv[0]))}},
-                sort_keys=True,
-            )
-        )
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -278,11 +256,15 @@ def _execute_rounds(
     programs: dict,
     rounds: int,
     seed: int,
-    inputs=None,
-    classical_only=False,
-    randomness_overrides=None,
+    inputs,
+    classical_only,
+    randomness_overrides,
 ):
-    """Run init plus all round calls; returns (contexts, arena, messages)."""
+    """Run init plus all round calls; returns (contexts, arena, messages).
+
+    A node listed in `randomness_overrides` gets the bits given there in
+    place of the ones derived from (seed, node id).
+    """
     if set(programs) != set(topology.nodes):
         raise ValueError("need exactly one program per node")
     if rounds < 0:
@@ -391,13 +373,11 @@ def run(
     seed: int = 0,
     inputs=None,
     classical_only=False,
-    randomness_overrides=None,
 ) -> ExecutionResult:
     """One full execution: T rounds, one terminal measurement, finalize."""
     order = list(topology.nodes)
     contexts, arena, messages = _execute_rounds(
-        topology, programs, rounds, seed, inputs, classical_only,
-        randomness_overrides,
+        topology, programs, rounds, seed, inputs, classical_only, None
     )
     (outputs,) = _sample_outputs(programs, contexts, order, arena, seed, 1)
     trace = ExecutionTrace(rounds=rounds, messages=messages, outputs=outputs)
@@ -411,7 +391,6 @@ def run_sampled(
     shots: int,
     seed: int = 0,
     inputs=None,
-    randomness_overrides=None,
 ) -> list:
     """One execution, many independent terminal-measurement samples.
 
@@ -422,7 +401,7 @@ def run_sampled(
         raise ValueError("shots must be >= 1")
     order = list(topology.nodes)
     contexts, arena, _ = _execute_rounds(
-        topology, programs, rounds, seed, inputs, False, randomness_overrides
+        topology, programs, rounds, seed, inputs, False, None
     )
     return _sample_outputs(programs, contexts, order, arena, seed, shots)
 
@@ -505,6 +484,7 @@ def empirical_distribution(
     total_bits = sum(
         getattr(probe[u], "randomness_bits", 0) for u in topology.nodes
     )
+    order = list(topology.nodes)
     counts = {}
     if total_bits <= MAX_STRATIFIED_BITS:
         branches = list(
@@ -515,12 +495,15 @@ def empirical_distribution(
             if n == 0:
                 continue
             programs = make_programs()
-            for outputs in run_sampled(
-                topology, programs, rounds, int(n),
-                seed=int(rng.integers(2**31)),
-                inputs=inputs, randomness_overrides=overrides,
+            branch_seed = int(rng.integers(2**31))
+            contexts, arena, _ = _execute_rounds(
+                topology, programs, rounds, branch_seed, inputs, False,
+                overrides,
+            )
+            for outputs in _sample_outputs(
+                programs, contexts, order, arena, branch_seed, int(n)
             ):
-                record = tuple(outputs[u] for u in topology.nodes)
+                record = tuple(outputs[u] for u in order)
                 counts[record] = counts.get(record, 0) + 1
     else:
         for _ in range(shots):
@@ -528,6 +511,6 @@ def empirical_distribution(
                 topology, make_programs(), rounds,
                 seed=int(rng.integers(2**31)), inputs=inputs,
             )
-            record = tuple(result.outputs[u] for u in topology.nodes)
+            record = tuple(result.outputs[u] for u in order)
             counts[record] = counts.get(record, 0) + 1
-    return from_counts(counts, space=output_space(topology), shots=shots)
+    return from_counts(counts, space=output_space(topology))

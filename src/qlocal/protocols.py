@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ProtocolError, ResourceLimitError
+from .errors import ProtocolError
 from .network import Message, NodeProgram, role_of
 from .statevector import (
-    DEFAULT_MAX_QUBITS,
     StateVector,
     apply_gate,
     build_graph_state,
@@ -216,17 +215,12 @@ def _check_bits(b) -> tuple:
     return b
 
 
-def process_pd(d: int, b, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def process_pd(d: int, b) -> StateVector:
     """Centralized reference for the ring measurement process: graph state
     on the 3d-ring, conditional S at the corners, H everywhere. The exact
     distribution of the returned state is the measurement law."""
     b = _check_bits(b)
-    ring = build_gd(d)
-    if 3 * d > max_qubits:
-        raise ResourceLimitError(
-            f"ring of {3 * d} qubits exceeds the cap of {max_qubits}"
-        )
-    state = build_graph_state(ring, max_qubits=max_qubits)
+    state = build_graph_state(build_gd(d))
     for i, bit in enumerate(b):
         state = apply_gate(state, s_power(bit, d * i))
     for q in range(3 * d):
@@ -340,7 +334,15 @@ def _encode_known(known: dict) -> bytes:
 def _decode_known(payload: bytes) -> dict:
     if not payload:
         return {}
-    return {k: v for k, v in json.loads(payload.decode())}
+    # JSON turns a tuple node id into a list; turn it back.
+    return {
+        (_as_tuple(k) if k.__class__ is list else k): v
+        for k, v in json.loads(payload.decode())
+    }
+
+
+def _as_tuple(item):
+    return tuple(_as_tuple(x) for x in item) if item.__class__ is list else item
 
 
 class _FloodingProgram(NodeProgram):
@@ -370,10 +372,10 @@ class AffineTermProgram(_FloodingProgram):
     """Ring node of a classical affine strategy: floods, then outputs its
     assigned affine term of the input bits it has seen."""
 
-    def __init__(self, rounds, const=0, coeffs=None):
+    def __init__(self, rounds, const, coeffs):
         super().__init__(rounds)
         self.const = const
-        self.coeffs = dict(coeffs or {})
+        self.coeffs = dict(coeffs)
 
     def finalize(self, measured):
         bit = self.const
@@ -388,27 +390,19 @@ class AffineTermProgram(_FloodingProgram):
 
 class InputFloodProgram(_FloodingProgram):
     """Degree-1 input node for classical strategies: floods its bit, and
-    outputs nothing (relation game) unless `echo` is set."""
+    outputs nothing (relation game)."""
 
-    def __init__(self, rounds, origin, echo=False):
+    def __init__(self, rounds, origin):
         super().__init__(rounds)
         self.origin = origin
-        self.echo = echo
 
     def _seed_known(self, ctx):
         if ctx.input is None:
             raise ProtocolError(f"input node {ctx.self_id!r} got no input bit")
         return {self.origin: ctx.input[0]}
 
-    def finalize(self, measured):
-        if self.echo:
-            return bytes([self.known[self.origin]])
-        return b""
 
-
-def affine_strategy_programs(
-    d: int, strategy: AffineStrategy, rounds: int, echo_inputs=False
-) -> dict:
+def affine_strategy_programs(d: int, strategy: AffineStrategy, rounds: int) -> dict:
     """A classical `rounds`-round protocol realizing the strategy's four
     parity functions on the augmented ring.
 
@@ -434,7 +428,7 @@ def affine_strategy_programs(
         const, coeffs = carriers.get(u, (0, {}))
         programs[u] = AffineTermProgram(rounds, const, coeffs)
     for i, w in enumerate(input_nodes(d)):
-        programs[w] = InputFloodProgram(rounds, i, echo=echo_inputs)
+        programs[w] = InputFloodProgram(rounds, i)
     return programs
 
 

@@ -14,9 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EntangledDisposalError, ResourceLimitError
+from .statevector import PRUNE_TOL
 
 MAX_SLOTS = 63
-_PRUNE_TOL = 1e-12
+# How far the amplitude ratio of a discarded qubit's two branches may vary
+# before the qubit counts as entangled.
+PRODUCT_TOL = 1e-9
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -97,7 +100,7 @@ class SparseState:
             flip >>= np.uint64(control - target)
         self.indices ^= flip
 
-    def remove_product_qubit(self, pos: int, tol: float = 1e-9):
+    def remove_product_qubit(self, pos: int):
         """Drop a qubit after verifying it is unentangled with the rest.
 
         Raises EntangledDisposalError otherwise. The global phase of the
@@ -123,7 +126,7 @@ class SparseState:
                 f"qubit at slot {pos} is entangled (mismatched branch supports)"
             )
         ratio = amp1[order1] / amp0[order0]
-        if np.max(np.abs(ratio - ratio[0])) > tol:
+        if np.max(np.abs(ratio - ratio[0])) > PRODUCT_TOL:
             raise EntangledDisposalError(
                 f"qubit at slot {pos} is entangled (branch amplitudes not "
                 f"proportional)"
@@ -192,8 +195,8 @@ def _over_sqrt2(amps: np.ndarray) -> np.ndarray:
 
 
 def _pruned(idx: np.ndarray, amps: np.ndarray):
-    """Drop the rows whose amplitude is within `_PRUNE_TOL` of zero."""
-    keep = np.abs(amps) > _PRUNE_TOL
+    """Drop the rows whose amplitude is within `PRUNE_TOL` of zero."""
+    keep = np.abs(amps) > PRUNE_TOL
     if keep.all():
         return idx, amps
     return idx[keep], amps[keep]

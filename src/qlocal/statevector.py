@@ -15,6 +15,11 @@ from .errors import ResourceLimitError
 from .topology import Topology
 
 DEFAULT_MAX_QUBITS = 26
+# An amplitude within PRUNE_TOL of zero is rounding noise: the arena drops
+# its row, and the exact law drops its entry.
+PRUNE_TOL = 1e-12
+# Probability above which an outcome counts as in a state's support.
+SUPPORT_TOL = 1e-9
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
@@ -96,13 +101,18 @@ class StateVector:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
-def new_state(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """The all-zeros basis state on n qubits."""
+def new_state(n: int) -> StateVector:
+    """The all-zeros basis state on n qubits.
+
+    This is the one check of the dense engine's qubit cap, so every dense
+    computation above DEFAULT_MAX_QUBITS fails here, before it allocates.
+    """
     if n < 0:
         raise ValueError("qubit count must be nonnegative")
-    if n > max_qubits:
+    if n > DEFAULT_MAX_QUBITS:
         raise ResourceLimitError(
-            f"{n} qubits exceeds the configured maximum of {max_qubits}"
+            f"{n} qubits exceeds the dense statevector cap of "
+            f"{DEFAULT_MAX_QUBITS}"
         )
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
@@ -136,7 +146,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(n, out.reshape(-1))
 
 
-def build_graph_state(topology: Topology, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def build_graph_state(topology: Topology) -> StateVector:
     """H on every node's qubit, then CZ across every edge.
 
     Qubit q holds the q-th node in ascending identifier order.
@@ -144,7 +154,7 @@ def build_graph_state(topology: Topology, max_qubits: int = DEFAULT_MAX_QUBITS) 
     if topology.num_nodes < 1:
         raise ValueError("graph state needs at least one node")
     index = {u: q for q, u in enumerate(topology.nodes)}
-    state = new_state(topology.num_nodes, max_qubits=max_qubits)
+    state = new_state(topology.num_nodes)
     for q in range(topology.num_nodes):
         state = apply_gate(state, h(q))
     for e in sorted(tuple(sorted(e)) for e in topology.edges):
@@ -157,21 +167,21 @@ def _index_bits(index: int, n: int) -> tuple:
 
 
 def exact_distribution(state: StateVector) -> OutcomeDistribution:
-    """The exact measurement law of the state, keyed by bit tuples."""
+    """The exact measurement law of the state, keyed by bit tuples, without
+    the outcomes whose amplitude is rounding noise."""
     n = state.num_qubits
-    probs = np.abs(state.amplitudes) ** 2
-    nz = np.nonzero(probs > 0)[0]
-    entries = {_index_bits(int(i), n): float(probs[i]) for i in nz}
+    amps = np.abs(state.amplitudes)
+    nz = np.nonzero(amps > PRUNE_TOL)[0]
+    probs = amps[nz] ** 2
+    entries = {_index_bits(int(i), n): float(p) for i, p in zip(nz, probs)}
     return OutcomeDistribution(entries, space=("bits", n))
 
 
-def support(state: StateVector, tol: float = 1e-9) -> frozenset:
-    """All outcome bitstrings with probability above `tol`."""
-    if not (0 < tol < 1):
-        raise ValueError("tol must be in (0, 1)")
+def support(state: StateVector) -> frozenset:
+    """All outcome bitstrings with probability above SUPPORT_TOL."""
     n = state.num_qubits
     probs = np.abs(state.amplitudes) ** 2
-    nz = np.nonzero(probs > tol)[0]
+    nz = np.nonzero(probs > SUPPORT_TOL)[0]
     return frozenset(_index_bits(int(i), n) for i in nz)
 
 

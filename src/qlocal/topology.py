@@ -1,11 +1,10 @@
 """Network topologies: undirected graphs with node identifiers.
 
 Includes the ring and augmented-ring generators used by the separation
-experiments, plus a small JSON file format for import/export.
+experiments.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -82,26 +81,6 @@ class Topology:
             [(mapping[a], mapping[b]) for a, b in (sorted(e) for e in self.edges)],
             allow_disconnected=self.allow_disconnected,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "edges": sorted(sorted(e) for e in self.edges),
-        }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def from_dict(cls, data, allow_disconnected=False) -> "Topology":
-        return cls(data["nodes"], data["edges"], allow_disconnected=allow_disconnected)
-
-    @classmethod
-    def load(cls, path, allow_disconnected=False) -> "Topology":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), allow_disconnected=allow_disconnected)
 
 
 def neighborhood(topology: Topology, u, r: int) -> set:

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import statevector
-from .errors import ResourceLimitError
 from .protocols import (
     AffineStrategy,
     affine_output_string,
@@ -119,17 +118,19 @@ def _support_hash(strings) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def enumerate_support(d: int, b, tol: float = 1e-9, cache_dir=None) -> frozenset:
-    """All outcome strings of the ring process with probability above tol.
+def enumerate_support(d: int, b) -> frozenset:
+    """All outcome strings of the ring process with probability above
+    `statevector.SUPPORT_TOL`.
 
-    Cached in memory per (d, b, tol) and, when possible, on disk with a
-    content hash so the d=6 and d=8 enumerations run once.
+    Cached in memory per (d, b) and, when possible, on disk in
+    `default_cache_dir()` with a content hash, so each enumeration runs once.
     """
     b = tuple(b)
-    key = (d, b, tol)
+    key = (d, b)
     if key in _SUPPORT_CACHE:
         return _SUPPORT_CACHE[key]
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    tol = statevector.SUPPORT_TOL
+    cache_dir = default_cache_dir()
     path = cache_dir / f"support_d{d}_b{''.join(map(str, b))}_tol{tol:g}.json"
     if path.exists():
         with open(path) as fh:
@@ -145,12 +146,7 @@ def enumerate_support(d: int, b, tol: float = 1e-9, cache_dir=None) -> frozenset
         ):
             _SUPPORT_CACHE[key] = strings
             return strings
-    if 3 * d > statevector.DEFAULT_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"support enumeration at d={d} exceeds the statevector cap"
-        )
-    state = process_pd(d, b)
-    strings = statevector.support(state, tol=tol)
+    strings = statevector.support(process_pd(d, b))
     _SUPPORT_CACHE[key] = strings
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)

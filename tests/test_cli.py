@@ -69,6 +69,16 @@ def test_simulation_error_is_usage_error(experiment, capsys):
     assert "Traceback" not in err
 
 
+def test_dense_cap_is_usage_error(capsys):
+    # the d=10 support oracle needs a 30-qubit dense statevector
+    with pytest.raises(SystemExit) as exc:
+        main(["--experiment", "k-copies", "--d", "10"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "exceeds the dense statevector cap of 26" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["--experiment", "nope"])

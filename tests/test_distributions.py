@@ -4,9 +4,7 @@ import pytest
 from qlocal.distributions import (
     OutcomeDistribution,
     from_counts,
-    load_distribution,
     marginal,
-    save_distribution,
     tv_distance,
 )
 
@@ -22,8 +20,6 @@ def test_probabilities_must_sum_to_one():
         dist({(0, 0): 0.5})
     with pytest.raises(ValueError):
         dist({(0, 0): 1.5, (1, 1): -0.5})
-    with pytest.raises(ValueError):
-        OutcomeDistribution({(0, 0): 1.0}, space=SPACE, kind="guess")
 
 
 def test_tv_examples():
@@ -96,24 +92,7 @@ def test_data_processing_inequality_spot_check():
 
 def test_from_counts():
     d = from_counts({(0, 0): 3, (1, 1): 1}, space=SPACE)
-    assert d.kind == "empirical"
-    assert d.shots == 4
     assert d.probability((0, 0)) == pytest.approx(0.75)
     with pytest.raises(ValueError):
         from_counts({}, space=SPACE)
 
-
-def test_save_load_roundtrip(tmp_path):
-    p = OutcomeDistribution(
-        {((0, 1), (b"\x01",)): 0.5, ((1, 0), (b"\x00",)): 0.5},
-        space=("outputs", ("0", "1")),
-        kind="empirical",
-        shots=10,
-    )
-    path = tmp_path / "dist.txt"
-    save_distribution(p, path)
-    loaded = load_distribution(path)
-    assert loaded.space == p.space
-    assert loaded.kind == "empirical"
-    assert loaded.shots == 10
-    assert loaded.entries == p.entries

@@ -270,7 +270,7 @@ def test_ownership_transfers_at_round_boundary():
 def test_trace_is_deterministic():
     a = run(PATH2, {0: Echo(), 1: Echo()}, rounds=1, seed=9)
     b = run(PATH2, {0: Echo(), 1: Echo()}, rounds=1, seed=9)
-    assert a.trace.to_jsonl() == b.trace.to_jsonl()
+    assert a.trace == b.trace
     assert a.trace.message_rounds() == 1
 
 
@@ -301,7 +301,24 @@ def test_empirical_distribution_is_seed_stable():
     d1 = empirical_distribution(*args, seed=3)
     d2 = empirical_distribution(*args, seed=3)
     assert d1.entries == d2.entries
-    assert d1.shots == 200
+
+
+class XorOfManyBits(NodeProgram):
+    randomness_bits = 20  # above MAX_STRATIFIED_BITS: one execution per shot
+
+    def finalize(self, measured):
+        bit = 0
+        for r in self.ctx.randomness:
+            bit ^= r
+        return bytes([bit])
+
+
+def test_empirical_distribution_per_shot_path():
+    single = Topology([0], [])
+    dist = empirical_distribution(single, lambda: {0: XorOfManyBits()}, 0,
+                                  2000, seed=9)
+    assert set(k for (k,) in dist.entries) <= {b"\x00", b"\x01"}
+    assert dist.probability((b"\x01",)) == pytest.approx(0.5, abs=0.05)
 
 
 def test_run_sampled_matches_single_runs_shape():

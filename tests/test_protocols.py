@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qlocal.cli import subgraph_fidelity_case
+from qlocal.cli import subgraph_fidelity_case, xor_oracle
 from qlocal.errors import EntangledDisposalError, ProtocolError
 from qlocal.network import run, run_exact
 from qlocal.protocols import (
@@ -20,7 +20,7 @@ from qlocal.protocols import (
     sampling_protocol_programs,
 )
 from qlocal.statevector import exact_distribution
-from qlocal.topology import Topology, build_script_gd, input_nodes
+from qlocal.topology import Topology, build_script_gd, disjoint_copies, input_nodes
 
 TRIANGLE = Topology(range(3), [(0, 1), (1, 2), (2, 0)])
 
@@ -186,3 +186,17 @@ def test_derandomize_majority_output():
     result = run(topo, programs, rounds=1, inputs={0: b"\x00", 1: b"\x01"},
                  classical_only=True)
     assert result.outputs == {0: b"\x01", 1: b"\x01"}
+
+
+def test_derandomize_on_tuple_node_ids():
+    # node ids (copy, u) cross the flood as JSON and must come back as tuples
+    cycle = Topology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    topo = disjoint_copies(cycle, 2)
+    programs = derandomize_function_protocol(topo, xor_oracle, rounds=2)
+    bits = {(0, 0): 1, (0, 1): 0, (0, 2): 1, (0, 3): 1,
+            (1, 0): 0, (1, 1): 1, (1, 2): 1, (1, 3): 0}
+    inputs = {u: bytes([b]) for u, b in bits.items()}
+    result = run(topo, programs, rounds=2, inputs=inputs, classical_only=True)
+    for c, want in ((0, 1), (1, 0)):
+        for u in range(4):
+            assert result.outputs[(c, u)] == bytes([want])

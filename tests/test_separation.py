@@ -31,6 +31,13 @@ def test_gamma_support_is_the_validity_relation():
             assert g.probability((b, x)) > 0
 
 
+@pytest.mark.parametrize("d,entries", [(2, 192), (4, 12_288)])
+def test_gamma_has_no_rounding_noise_entries(d, entries):
+    # exactly the support: 2^(3d-1) strings for each odd-weight triple and
+    # 2^(3d-2) for each even-weight one
+    assert len(exact_gamma(d)) == entries
+
+
 def test_cross_oracle_identity_at_d2():
     assert tv_distance(exact_gamma(2), sampling_exact_law(2)) <= 1e-9
 
@@ -53,7 +60,7 @@ def test_empirical_sampling_converges():
         entries[(b, x)] = entries.get((b, x), 0.0) + p
     from qlocal.distributions import OutcomeDistribution
 
-    emp = OutcomeDistribution(entries, space=("gamma", d), kind="empirical")
+    emp = OutcomeDistribution(entries, space=("gamma", d))
     assert tv_distance(emp, exact_gamma(d)) <= 0.02
 
 

@@ -3,7 +3,8 @@ bit, on states whose occupied slots reach the top slot (62)."""
 import numpy as np
 import pytest
 
-from qlocal.sparse import _INV_SQRT2, _PRUNE_TOL, MAX_SLOTS, SparseState
+from qlocal.sparse import _INV_SQRT2, MAX_SLOTS, SparseState
+from qlocal.statevector import PRUNE_TOL
 
 TOP_SLOT = MAX_SLOTS - 1
 
@@ -19,7 +20,7 @@ def reference_h(indices, amps, pos):
     uniq, inverse = np.unique(idx, return_inverse=True)
     merged = np.zeros(len(uniq), dtype=complex)
     np.add.at(merged, inverse, amp)
-    keep = np.abs(merged) > _PRUNE_TOL
+    keep = np.abs(merged) > PRUNE_TOL
     return uniq[keep], merged[keep]
 
 
@@ -52,7 +53,7 @@ def random_state(rng, case, pos):
         for i in np.flatnonzero((indices & mask) != 0)[:20]:
             j = np.flatnonzero(indices == (indices[i] & ~mask))
             if len(j):
-                near = _PRUNE_TOL * rng.choice([0.0, 0.5, 1.0, 1.5, 3.0])
+                near = PRUNE_TOL * rng.choice([0.0, 0.5, 1.0, 1.5, 3.0])
                 amps[i] = amps[j[0]] if i % 2 else -amps[j[0]] + near
     # Signed zeros, and rows whose halved magnitude straddles the tolerance.
     picks = rng.choice(n, size=24, replace=False)
@@ -60,7 +61,7 @@ def random_state(rng, case, pos):
         value = rng.normal()
         amps[i] = complex(-0.0, value) if k % 2 else complex(value, -0.0)
     for k, i in enumerate(picks[12:]):
-        amps[i] = _PRUNE_TOL * np.sqrt(2.0) * (0.5, 0.999, 1.001, 2.0)[k % 4]
+        amps[i] = PRUNE_TOL * np.sqrt(2.0) * (0.5, 0.999, 1.001, 2.0)[k % 4]
     order = rng.permutation(n)
     return indices[order], amps[order]
 

@@ -76,15 +76,6 @@ def test_neighborhood_and_distance():
         neighborhood(g, 99, 1)
 
 
-def test_json_roundtrip(tmp_path):
-    g = build_script_gd(2)
-    path = tmp_path / "g.json"
-    g.save(path)
-    loaded = Topology.load(path)
-    assert loaded.nodes == g.nodes
-    assert loaded.edges == g.edges
-
-
 def test_relabel_preserves_structure():
     g = build_gd(2)
     mapping = {u: f"n{u}" for u in g.nodes}

@@ -80,14 +80,15 @@ def test_support_is_uniform_probability():
     assert max(probs) == pytest.approx(min(probs), abs=1e-12)
 
 
-def test_support_cache_roundtrip(tmp_path):
+def test_support_cache_roundtrip(tmp_path, monkeypatch):
     from qlocal import verify
 
+    monkeypatch.setenv("QLOCAL_CACHE_DIR", str(tmp_path))
     verify._SUPPORT_CACHE.clear()
-    first = enumerate_support(2, (1, 0, 1), cache_dir=tmp_path)
+    first = enumerate_support(2, (1, 0, 1))
     assert (tmp_path / "support_d2_b101_tol1e-09.json").exists()
     verify._SUPPORT_CACHE.clear()
-    second = enumerate_support(2, (1, 0, 1), cache_dir=tmp_path)
+    second = enumerate_support(2, (1, 0, 1))
     assert first == second
 
 
