@@ -65,7 +65,6 @@ from .verify import (
     ParityTuple,
     best_affine_success,
     check_prop1,
-    classical_success_rate,
     enumerate_support,
     is_valid,
     lemma2_exhaustive,

@@ -26,7 +26,7 @@ from .protocols import (
     relation_inputs,
     relation_protocol_programs,
 )
-from .statevector import build_graph_state
+from .statevector import StateVector, build_graph_state, fidelity
 from .topology import Topology, build_script_gd, input_nodes
 
 DEFAULT_SEED = 1234
@@ -92,14 +92,13 @@ def subgraph_fidelity_case(topology: Topology, assignment: dict):
     result = run(topology, programs, rounds=2)
     order = list(topology.nodes)
     qids = [programs[u].qubit for u in order]
-    built = result.arena.dense_state(qids)
     kept = Topology(
         order,
         [e for e in topology.edges if all(assignment[u] for u in e)],
         allow_disconnected=True,
     )
-    reference = build_graph_state(kept).amplitudes
-    fid = float(abs(np.vdot(reference, built)) ** 2)
+    built = StateVector(len(qids), result.arena.dense_state(qids))
+    fid = fidelity(build_graph_state(kept), built)
     return fid, result.trace.message_rounds()
 
 
@@ -260,6 +259,13 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _positive_int(text: str):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlocal", description="run a reproducibility experiment"
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number(s) of disjoint copies")
     parser.add_argument("--T", type=_int_list, default=[1],
                         help="adversary round budget(s)")
-    parser.add_argument("--shots", type=int, default=200)
+    parser.add_argument("--shots", type=_positive_int, default=200)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", default=None, help="report file (default stdout)")
     parser.add_argument("--format", choices=("table", "records"),
@@ -317,8 +323,11 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     report = (format_table if args.format == "table" else format_records)(rows)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report)
+        except OSError as exc:
+            parser.error(f"cannot write the report: {exc}")
     else:
         sys.stdout.write(report)
     return 0 if all(r["ok"] for r in rows) else 1

@@ -52,8 +52,6 @@ def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
 
 
 def _coordinate_getter(space, coordinate):
-    if callable(coordinate):
-        return coordinate
     if isinstance(coordinate, int):
         return lambda key: key[coordinate]
     if space and space[0] == "gamma":
@@ -63,8 +61,6 @@ def _coordinate_getter(space, coordinate):
             return lambda key: key[0][i]
         if coordinate == "b":
             return lambda key: key[0]
-        if coordinate == "x":
-            return lambda key: key[1]
         if isinstance(coordinate, tuple) and coordinate[0] in ("b", "x"):
             part = 0 if coordinate[0] == "b" else 1
             i = coordinate[1]

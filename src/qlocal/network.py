@@ -431,7 +431,6 @@ def run_exact(
     make_programs,
     rounds: int,
     inputs=None,
-    classical_only=False,
 ) -> OutcomeDistribution:
     """The exact output law: enumerate every randomness branch, and within
     each branch the exact terminal-measurement distribution.
@@ -447,7 +446,7 @@ def run_exact(
         programs = make_programs()
         contexts, arena, _ = _execute_rounds(
             topology, programs, rounds, seed=0, inputs=inputs,
-            classical_only=classical_only, randomness_overrides=overrides,
+            classical_only=False, randomness_overrides=overrides,
         )
         order = list(topology.nodes)
         flagged = _flagged_qubits(contexts, order)

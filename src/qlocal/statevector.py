@@ -97,9 +97,6 @@ class StateVector:
     num_qubits: int
     amplitudes: np.ndarray
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
 
 def new_state(n: int) -> StateVector:
     """The all-zeros basis state on n qubits.

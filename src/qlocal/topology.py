@@ -55,9 +55,6 @@ class Topology:
     def neighbors(self, u) -> frozenset:
         return self._neighbors[u]
 
-    def degree(self, u) -> int:
-        return len(self._neighbors[u])
-
     def has_node(self, u) -> bool:
         return u in self._neighbors
 
@@ -73,14 +70,6 @@ class Topology:
                     seen.add(v)
                     queue.append(v)
         return len(seen) == len(self.nodes)
-
-    def relabel(self, mapping) -> "Topology":
-        """Return a copy with node identifiers renamed through `mapping`."""
-        return Topology(
-            [mapping[u] for u in self.nodes],
-            [(mapping[a], mapping[b]) for a, b in (sorted(e) for e in self.edges)],
-            allow_disconnected=self.allow_disconnected,
-        )
 
 
 def neighborhood(topology: Topology, u, r: int) -> set:
@@ -99,24 +88,6 @@ def neighborhood(topology: Topology, u, r: int) -> set:
             break
         ball |= frontier
     return ball
-
-
-def distance(topology: Topology, u, v) -> int:
-    """BFS distance between two nodes; raises if unreachable."""
-    if u == v:
-        return 0
-    seen = {u}
-    frontier = {u}
-    d = 0
-    while frontier:
-        d += 1
-        frontier = {
-            w for f in frontier for w in topology.neighbors(f) if w not in seen
-        }
-        if v in frontier:
-            return d
-        seen |= frontier
-    raise ValueError(f"no path from {u!r} to {v!r}")
 
 
 def _check_even_d(d):

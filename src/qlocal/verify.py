@@ -9,15 +9,11 @@ lower-bound scan works with.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-
-import numpy as np
 
 from . import statevector
 from .protocols import (
@@ -107,64 +103,20 @@ _SUPPORT_CACHE = {}
 
 
 def default_cache_dir() -> Path:
+    """Nothing in qlocal calls this; `perfbench/worker.py` still checks it."""
     env = os.environ.get("QLOCAL_CACHE_DIR")
     if env:
         return Path(env)
     return Path(os.environ.get("XDG_CACHE_HOME", "~/.cache")).expanduser() / "qlocal"
 
 
-def _support_hash(strings) -> str:
-    blob = "\n".join("".join(map(str, s)) for s in sorted(strings))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def enumerate_support(d: int, b) -> frozenset:
     """All outcome strings of the ring process with probability above
-    `statevector.SUPPORT_TOL`.
-
-    Cached in memory per (d, b) and, when possible, on disk in
-    `default_cache_dir()` with a content hash, so each enumeration runs once.
-    """
+    `statevector.SUPPORT_TOL`, memoized in memory per (d, b)."""
     b = tuple(b)
-    key = (d, b)
-    if key in _SUPPORT_CACHE:
-        return _SUPPORT_CACHE[key]
-    tol = statevector.SUPPORT_TOL
-    cache_dir = default_cache_dir()
-    path = cache_dir / f"support_d{d}_b{''.join(map(str, b))}_tol{tol:g}.json"
-    if path.exists():
-        with open(path) as fh:
-            data = json.load(fh)
-        strings = frozenset(
-            tuple(int(c) for c in s) for s in data["strings"]
-        )
-        if (
-            data["d"] == d
-            and tuple(data["b"]) == b
-            and data["hash"] == _support_hash(strings)
-            and data["count"] == len(strings)
-        ):
-            _SUPPORT_CACHE[key] = strings
-            return strings
-    strings = statevector.support(process_pd(d, b))
-    _SUPPORT_CACHE[key] = strings
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "d": d,
-                    "b": list(b),
-                    "tol": tol,
-                    "count": len(strings),
-                    "hash": _support_hash(strings),
-                    "strings": sorted("".join(map(str, s)) for s in strings),
-                },
-                fh,
-            )
-    except OSError:
-        pass  # caching is best-effort
-    return strings
+    if (d, b) not in _SUPPORT_CACHE:
+        _SUPPORT_CACHE[d, b] = statevector.support(process_pd(d, b))
+    return _SUPPORT_CACHE[d, b]
 
 
 def is_valid(d: int, b, outcome) -> ValidityReport:
@@ -245,45 +197,3 @@ def strategy_success_by_input(d: int, strategy: AffineStrategy) -> dict:
         b: affine_output_string(d, strategy, b) in enumerate_support(d, b)
         for b in product((0, 1), repeat=3)
     }
-
-
-def classical_success_rate(make_programs, d: int, trials: int, seed: int):
-    """Monte Carlo validity estimate of a classical protocol, per input.
-
-    `make_programs` maps nothing to a fresh program dict for the augmented
-    ring. Returns (per-input success dict, overall mean).
-    """
-    from .network import run
-    from .protocols import relation_inputs
-    from .topology import build_script_gd
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    topology = build_script_gd(d)
-    rng = np.random.default_rng(seed)
-    per_input = {}
-    for b in product((0, 1), repeat=3):
-        inputs = relation_inputs(d, b)
-        hits = 0
-        for _ in range(trials):
-            result = run(
-                topology,
-                make_programs(),
-                rounds=_protocol_rounds(make_programs()),
-                seed=int(rng.integers(2**31)),
-                inputs=inputs,
-                classical_only=True,
-            )
-            outcome = tuple(result.outputs[i][0] for i in range(3 * d))
-            if is_valid(d, b, outcome).in_support:
-                hits += 1
-        per_input[b] = hits / trials
-    overall = sum(per_input.values()) / len(per_input)
-    return per_input, overall
-
-
-def _protocol_rounds(programs) -> int:
-    rounds = {p.rounds for p in programs.values() if hasattr(p, "rounds")}
-    if len(rounds) != 1:
-        raise ValueError("programs disagree on the round count")
-    return rounds.pop()

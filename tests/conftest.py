@@ -9,16 +9,6 @@ settings.load_profile("deterministic")
 _ACCEPTANCE_LINES = []
 
 
-@pytest.fixture(scope="session", autouse=True)
-def support_cache_dir(tmp_path_factory):
-    """Keep the on-disk support cache in a temporary directory, so the
-    suite neither reads nor writes the user's cache."""
-    with pytest.MonkeyPatch.context() as mp:
-        path = tmp_path_factory.mktemp("qlocal-cache")
-        mp.setenv("QLOCAL_CACHE_DIR", str(path))
-        yield path
-
-
 @pytest.fixture
 def acceptance():
     """Record a one-line verdict for an acceptance criterion and assert it."""

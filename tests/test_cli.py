@@ -97,3 +97,22 @@ def test_parser_defaults_are_fixed():
     args = build_parser().parse_args(["--experiment", "lemma2"])
     assert args.seed == 1234
     assert args.format == "table"
+
+
+def test_unwritable_report_file_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--experiment", "lemma2", "--out", str(tmp_path / "no" / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot write the report" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("shots", ["0", "-2"])
+@pytest.mark.parametrize("experiment", ["relation-validity",
+                                        "subgraph-fidelity"])
+def test_shots_below_one_is_usage_error(experiment, shots, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--experiment", experiment, "--d", "4", "--shots", shots])
+    assert exc.value.code == 2
+    assert "--shots: must be >= 1" in capsys.readouterr().err

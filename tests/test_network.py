@@ -289,8 +289,7 @@ class CoinFlip(NodeProgram):
 
 
 def test_run_exact_enumerates_randomness():
-    dist = run_exact(PATH2, lambda: {0: CoinFlip(), 1: CoinFlip()}, rounds=0,
-                     classical_only=True)
+    dist = run_exact(PATH2, lambda: {0: CoinFlip(), 1: CoinFlip()}, rounds=0)
     assert len(dist) == 4
     for p in dist.entries.values():
         assert abs(p - 0.25) < 1e-12

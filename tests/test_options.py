@@ -20,7 +20,6 @@ OPTIONS = {
     "qlocal.network.run(classical_only)",
     "qlocal.network.run(inputs)",
     "qlocal.network.run(seed)",
-    "qlocal.network.run_exact(classical_only)",
     "qlocal.network.run_exact(inputs)",
     "qlocal.network.run_sampled(inputs)",
     "qlocal.network.run_sampled(seed)",

@@ -86,7 +86,7 @@ def test_sampling_programs_declare_one_bit_at_inputs():
 
 def test_process_pd_normalized():
     state = process_pd(2, (1, 1, 1))
-    assert abs(state.norm_sq() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
 # --- affine strategies ------------------------------------------------------

@@ -137,4 +137,4 @@ def test_random_circuits_preserve_norm(ops):
             state = apply_gate(state, Gate(kind, (a,)))
         elif a != b:
             state = apply_gate(state, Gate(kind, (a, b)))
-    assert abs(state.norm_sq() - 1.0) < 1e-9
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-9

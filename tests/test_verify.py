@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from qlocal.protocols import AffineStrategy, affine_strategy_programs
+from qlocal import verify
+from qlocal.protocols import AffineStrategy
 from qlocal.verify import (
     ParityTuple,
     best_affine_success,
     check_prop1,
-    classical_success_rate,
     enumerate_support,
     is_valid,
     lemma2_exhaustive,
@@ -66,8 +66,23 @@ def test_check_prop1_case_identities():
     assert check_prop1((0, 0, 1), ParityTuple(0, 1, 1, 0))
 
 
+def _support_sizes(d):
+    """(size, expected size) per input triple: the support holds 2^(3d-1)
+    strings for an odd-weight triple and 2^(3d-2) for an even-weight one."""
+    return [
+        (len(enumerate_support(d, b)), 2 ** (3 * d - 2 + sum(b) % 2))
+        for b in itertools.product((0, 1), repeat=3)
+    ]
+
+
 def test_support_size_at_d2():
-    assert len(enumerate_support(2, (0, 0, 0))) == 16
+    for size, expected in _support_sizes(2):
+        assert size == expected
+
+
+def test_support_size_at_d4():
+    for size, expected in _support_sizes(4):
+        assert size == expected
 
 
 def test_support_is_uniform_probability():
@@ -80,16 +95,13 @@ def test_support_is_uniform_probability():
     assert max(probs) == pytest.approx(min(probs), abs=1e-12)
 
 
-def test_support_cache_roundtrip(tmp_path, monkeypatch):
-    from qlocal import verify
-
-    monkeypatch.setenv("QLOCAL_CACHE_DIR", str(tmp_path))
-    verify._SUPPORT_CACHE.clear()
-    first = enumerate_support(2, (1, 0, 1))
-    assert (tmp_path / "support_d2_b101_tol1e-09.json").exists()
-    verify._SUPPORT_CACHE.clear()
-    second = enumerate_support(2, (1, 0, 1))
-    assert first == second
+def test_support_enumeration_writes_nothing(tmp_path, monkeypatch):
+    for name in ("HOME", "XDG_CACHE_HOME", "QLOCAL_CACHE_DIR"):
+        monkeypatch.setenv(name, str(tmp_path))
+    monkeypatch.setattr(verify, "_SUPPORT_CACHE", {})
+    for b in itertools.product((0, 1), repeat=3):
+        enumerate_support(2, b)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_support_closed_under_side_reflection_when_b1_equals_b2():
@@ -99,32 +111,6 @@ def test_support_closed_under_side_reflection_when_b1_equals_b2():
     for b in [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]:
         sup = enumerate_support(d, b)
         assert {reflect(x) for x in sup} == sup
-
-
-def test_uniform_random_strategy_success_tracks_support_size():
-    from qlocal.network import NodeProgram
-
-    class RandomBit(NodeProgram):
-        randomness_bits = 1
-
-        def finalize(self, measured):
-            return bytes([self.ctx.randomness[0]])
-
-    class Silent(NodeProgram):
-        pass
-
-    def make_programs():
-        programs = {u: RandomBit() for u in range(6)}
-        programs.update({w: Silent() for w in (6, 7, 8)})
-        for p in programs.values():
-            p.rounds = 0
-        return programs
-
-    per_input, _ = classical_success_rate(make_programs, d=2, trials=1500,
-                                          seed=12)
-    for b, rate in per_input.items():
-        assert rate == pytest.approx(len(enumerate_support(2, b)) / 64,
-                                     abs=0.04)
 
 
 def test_is_valid_reports():
@@ -166,18 +152,3 @@ def test_all_zero_strategy_succeeds_on_five_inputs():
     assert parity_success_count(zero) == 5
     by_input = strategy_success_by_input(2, zero)
     assert sum(by_input.values()) == 5
-
-
-def test_classical_success_rate_of_witness():
-    _, witness = best_affine_success()
-    per_input, overall = classical_success_rate(
-        lambda: affine_strategy_programs(4, witness, rounds=2),
-        d=4, trials=3, seed=0,
-    )
-    assert overall == pytest.approx(7 / 8)
-    assert sum(v == 0.0 for v in per_input.values()) == 1
-
-
-def test_classical_success_rate_needs_trials():
-    with pytest.raises(ValueError):
-        classical_success_rate(lambda: {}, d=2, trials=0, seed=0)
