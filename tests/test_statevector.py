@@ -117,6 +117,12 @@ def test_exact_distribution_normalizes():
     assert abs(sum(dist.entries.values()) - 1.0) < 1e-12
 
 
+def test_zero_qubit_state_has_the_empty_outcome():
+    state = new_state(0)
+    assert exact_distribution(state).entries == {(): 1.0}
+    assert support(state) == frozenset({()})
+
+
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         fidelity(new_state(1), new_state(2))
