@@ -59,12 +59,6 @@ def _coordinate_getter(space, coordinate):
         if coordinate in ("b0", "b1", "b2"):
             i = int(coordinate[1])
             return lambda key: key[0][i]
-        if coordinate == "b":
-            return lambda key: key[0]
-        if isinstance(coordinate, tuple) and coordinate[0] in ("b", "x"):
-            part = 0 if coordinate[0] == "b" else 1
-            i = coordinate[1]
-            return lambda key: key[part][i]
     raise ValueError(f"coordinate {coordinate!r} not defined for space {space!r}")
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EntangledDisposalError, ResourceLimitError
-from .statevector import PRUNE_TOL
+from .statevector import _INV_SQRT2, PRUNE_TOL
 
 MAX_SLOTS = 63
-# How far the amplitude ratio of a discarded qubit's two branches may vary
-# before the qubit counts as entangled.
+# How far the amplitude ratio of a discarded qubit's two branches may vary,
+# relative to its size, before the qubit counts as entangled. Relative, so
+# that the rounding of a branch with a tiny amplitude is not taken for
+# entanglement.
 PRODUCT_TOL = 1e-9
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 class SparseState:
@@ -126,7 +127,7 @@ class SparseState:
                 f"qubit at slot {pos} is entangled (mismatched branch supports)"
             )
         ratio = amp1[order1] / amp0[order0]
-        if np.max(np.abs(ratio - ratio[0])) > PRODUCT_TOL:
+        if np.max(np.abs(ratio - ratio[0])) > PRODUCT_TOL * abs(ratio[0]):
             raise EntangledDisposalError(
                 f"qubit at slot {pos} is entangled (branch amplitudes not "
                 f"proportional)"

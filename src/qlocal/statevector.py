@@ -22,7 +22,6 @@ PRUNE_TOL = 1e-12
 SUPPORT_TOL = 1e-9
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
 
 # The one gate table both engines dispatch on: kind -> (arity, phase). A
 # phase gate multiplies every basis state whose target bits are all 1 by its
@@ -121,12 +120,17 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     for q in gate.targets:
         if not (0 <= q < n):
             raise ValueError(f"target {q} out of range for {n} qubits")
-    amps = state.amplitudes.reshape([2] * n) if n else state.amplitudes
     if gate.kind == "H":
+        # Axis 1 of this view is qubit q: the two amplitudes an H mixes.
         (q,) = gate.targets
-        moved = np.moveaxis(amps, q, -1)
-        out = np.moveaxis(moved @ H_MATRIX.T, -1, q)
-        return StateVector(n, np.ascontiguousarray(out).reshape(-1))
+        pairs = state.amplitudes.reshape(2**q, 2, -1)
+        a = pairs[:, 0] * _INV_SQRT2
+        b = pairs[:, 1] * _INV_SQRT2
+        out = np.empty_like(pairs)
+        np.add(a, b, out=out[:, 0])
+        np.subtract(a, b, out=out[:, 1])
+        return StateVector(n, out.reshape(-1))
+    amps = state.amplitudes.reshape([2] * n) if n else state.amplitudes
     out = amps.copy()
     if gate.kind == "CNOT":
         a, b = gate.targets
@@ -139,7 +143,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         sel = [slice(None)] * n
         for q in gate.targets:
             sel[q] = 1
-        out[tuple(sel)] = amps[tuple(sel)] * gate.phase
+        out[tuple(sel)] *= gate.phase
     return StateVector(n, out.reshape(-1))
 
 
@@ -159,8 +163,12 @@ def build_graph_state(topology: Topology) -> StateVector:
     return state
 
 
-def _index_bits(index: int, n: int) -> tuple:
-    return tuple((index >> (n - 1 - q)) & 1 for q in range(n))
+def _outcomes(indices: np.ndarray, n: int):
+    """The bit tuples of basis indices, big-endian, in the given order."""
+    if n == 0:
+        return [()] * len(indices)
+    bits = (indices[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    return zip(*bits.tolist())
 
 
 def exact_distribution(state: StateVector) -> OutcomeDistribution:
@@ -170,7 +178,7 @@ def exact_distribution(state: StateVector) -> OutcomeDistribution:
     amps = np.abs(state.amplitudes)
     nz = np.nonzero(amps > PRUNE_TOL)[0]
     probs = amps[nz] ** 2
-    entries = {_index_bits(int(i), n): float(p) for i, p in zip(nz, probs)}
+    entries = dict(zip(_outcomes(nz, n), probs.tolist()))
     return OutcomeDistribution(entries, space=("bits", n))
 
 
@@ -179,7 +187,7 @@ def support(state: StateVector) -> frozenset:
     n = state.num_qubits
     probs = np.abs(state.amplitudes) ** 2
     nz = np.nonzero(probs > SUPPORT_TOL)[0]
-    return frozenset(_index_bits(int(i), n) for i in nz)
+    return frozenset(_outcomes(nz, n))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

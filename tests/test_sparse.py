@@ -1,8 +1,12 @@
 """The sparse H kernel against the scatter-add kernel it replaced, bit for
-bit, on states whose occupied slots reach the top slot (62)."""
+bit, on states whose occupied slots reach the top slot (62); and the
+disposal guard on product and entangled qubits at every branch scale."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qlocal.errors import EntangledDisposalError
 from qlocal.sparse import _INV_SQRT2, MAX_SLOTS, SparseState
 from qlocal.statevector import PRUNE_TOL
 
@@ -96,3 +100,69 @@ def test_h_twice_at_the_top_slot_returns_to_zero():
     state.apply_h(TOP_SLOT)
     assert state.indices.tolist() == [0]
     assert abs(state.amps[0] - 1) < 1e-15
+
+
+def _sparse(indices, amps):
+    state = SparseState()
+    state.indices = np.asarray(indices, dtype=np.uint64)
+    state.amps = np.asarray(amps, dtype=complex)
+    return state
+
+
+def test_product_qubit_with_a_tiny_branch_disposes():
+    # Slot 0 in a|0> + b|1> with a = 1e-6, slot 1 in |+>, and amplitudes
+    # off by 1e-15 relative: the ratio b/a is 1e6, so its rounding spread is
+    # about 4e-9 in absolute terms.
+    a = 1e-6
+    b = np.sqrt(1 - a * a)
+    noise = 1 + 1e-15 * np.array([1, -1, -1, 1])
+    state = _sparse([0, 2, 1, 3], np.array([a, a, b, b]) * _INV_SQRT2 * noise)
+    state.remove_product_qubit(0)
+    assert state.indices.tolist() == [0, 2]
+    assert np.allclose(state.amps, [_INV_SQRT2, _INV_SQRT2], atol=1e-15)
+
+
+def _branches(seed, scale0, scale1, rows):
+    """Slot 0 in a|0> + b|1> with |a| = 10**scale0 and |b| = 10**scale1
+    (random phases), times a random state of slots 1-3 over `rows` basis
+    states; every amplitude off by up to 1e-15 relative, rows shuffled.
+    Returns the indices, the amplitudes, and the slots 1-3 state."""
+    rng = np.random.default_rng(seed)
+    a, b = (10.0 ** e * np.exp(2j * np.pi * rng.random())
+            for e in (scale0, scale1))
+    rest = np.sort(rng.choice(8, size=rows, replace=False)).astype(np.uint64)
+    c = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    c /= np.linalg.norm(c)
+    indices = np.concatenate([rest << np.uint64(1), (rest << np.uint64(1)) | 1])
+    amps = np.concatenate([a * c, b * c])
+    amps *= 1 + 1e-15 * rng.uniform(-1, 1, size=2 * rows)
+    amps /= np.linalg.norm(amps)
+    order = rng.permutation(2 * rows)
+    return indices[order], amps[order], rest << np.uint64(1), c
+
+
+_SCALES = st.floats(-6, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), _SCALES, _SCALES, st.integers(1, 8))
+def test_product_qubit_disposes_at_any_branch_scale(seed, scale0, scale1, rows):
+    indices, amps, rest, c = _branches(seed, scale0, scale1, rows)
+    state = _sparse(indices, amps)
+    state.remove_product_qubit(0)
+    assert state.indices.tolist() == rest.tolist()
+    assert abs(abs(np.vdot(c, state.amps)) - 1) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), _SCALES, _SCALES, st.integers(2, 8),
+       st.floats(-6, 0), st.floats(0, 1))
+def test_entangled_qubit_raises_at_any_branch_scale(
+    seed, scale0, scale1, rows, log_change, turn
+):
+    # One branch-1 row's ratio moves by at least 1e-6 relative.
+    indices, amps, _, _ = _branches(seed, scale0, scale1, rows)
+    row = np.flatnonzero(indices & np.uint64(1))[seed % rows]
+    amps[row] *= 1 + 10.0 ** log_change * np.exp(2j * np.pi * turn)
+    with pytest.raises(EntangledDisposalError):
+        _sparse(indices, amps).remove_product_qubit(0)

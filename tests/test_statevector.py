@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from qlocal.errors import ResourceLimitError
 from qlocal.statevector import (
     GATES,
     Gate,
+    StateVector,
     apply_gate,
     build_graph_state,
     cnot,
@@ -23,6 +26,41 @@ from qlocal.statevector import (
 from qlocal.topology import Topology
 
 INV_SQRT2 = 1 / np.sqrt(2)
+
+# Each gate kind as an explicit matrix on its targets, in target order.
+_P0, _P1 = np.diag([1, 0]), np.diag([0, 1])
+_X = np.array([[0, 1], [1, 0]])
+REFERENCE = {
+    "H": lambda g: [{0: np.array([[1, 1], [1, -1]]) * INV_SQRT2}],
+    "S": lambda g: [{0: np.diag([1, 1j])}],
+    "S_POWER": lambda g: [{0: np.diag([1, 1j ** g.exponent])}],
+    "CNOT": lambda g: [{0: _P0}, {0: _P1, 1: _X}],
+    "CZ": lambda g: [{}, {0: -2 * _P1, 1: _P1}],
+    "CS": lambda g: [{}, {0: (1j - 1) * _P1, 1: _P1}],
+}
+
+
+def _reference_matrix(n, gate):
+    """The 2^n x 2^n matrix of `gate`: a sum of Kronecker products, each
+    with the given 2x2 factors on the gate's targets and the identity on
+    every other qubit (qubit 0 is the leftmost factor)."""
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for term in REFERENCE[gate.kind](gate):
+        factors = [np.eye(2)] * n
+        for j, op in term.items():
+            factors[gate.targets[j]] = op
+        product = np.ones((1, 1))
+        for f in factors:
+            product = np.kron(product, f)
+        total += product
+    return total
+
+
+def _every_gate(n):
+    for kind, (arity, _) in sorted(GATES.items()):
+        for targets in itertools.permutations(range(n), arity):
+            for exponent in (0, 1) if kind == "S_POWER" else (1,):
+                yield Gate(kind, targets, exponent)
 
 
 def test_h_on_zero():
@@ -115,6 +153,23 @@ def test_exact_distribution_normalizes():
     topo = Topology(range(3), [(0, 1), (1, 2)])
     dist = exact_distribution(build_graph_state(topo))
     assert abs(sum(dist.entries.values()) - 1.0) < 1e-12
+
+
+def test_reference_matrices_cover_the_gate_table():
+    assert set(REFERENCE) == set(GATES)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_apply_gate_matches_kronecker_reference(n):
+    rng = np.random.default_rng(n)
+    for gate in _every_gate(n):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        before = state.amplitudes.copy()
+        out = apply_gate(state, gate)
+        expected = _reference_matrix(n, gate) @ before
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-15, gate
+        assert np.array_equal(state.amplitudes, before), gate
 
 
 def test_zero_qubit_state_has_the_empty_outcome():

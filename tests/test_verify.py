@@ -85,6 +85,11 @@ def test_support_size_at_d4():
         assert size == expected
 
 
+def test_support_size_at_d6():
+    for size, expected in _support_sizes(6):
+        assert size == expected
+
+
 def test_support_is_uniform_probability():
     # every support string of the d=2 process carries the same probability
     from qlocal.protocols import process_pd
