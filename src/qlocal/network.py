@@ -345,7 +345,7 @@ def _flagged_qubits(contexts, order):
     return flagged
 
 
-def _finalize_all(programs, contexts, order, key, flagged):
+def _finalize_all(programs, order, key, flagged):
     bits = decode_key(key, len(flagged)) if flagged else ()
     per_node = {u: {} for u in order}
     for j, (u, qid) in enumerate(flagged):
@@ -362,7 +362,7 @@ def _sample_outputs(programs, contexts, order, arena, seed, shots) -> list:
     else:
         keys = np.zeros(shots, dtype=np.int64)
     return [
-        _finalize_all(programs, contexts, order, int(k), flagged) for k in keys
+        _finalize_all(programs, order, int(k), flagged) for k in keys
     ]
 
 
@@ -438,7 +438,7 @@ def run_exact(
     `make_programs` must build a fresh program map per call. Keys of the
     returned distribution are tuples of output bytes in node order.
     """
-    order = None
+    order = list(topology.nodes)
     entries = {}
     for overrides, weight in _randomness_branches(
         topology, make_programs, MAX_RANDOM_BITS
@@ -448,14 +448,13 @@ def run_exact(
             topology, programs, rounds, seed=0, inputs=inputs,
             classical_only=False, randomness_overrides=overrides,
         )
-        order = list(topology.nodes)
         flagged = _flagged_qubits(contexts, order)
         if flagged:
             keys, probs = arena.distribution_over([q for _, q in flagged])
         else:
             keys, probs = [0], [1.0]
         for key, prob in zip(keys, probs):
-            outputs = _finalize_all(programs, contexts, order, int(key), flagged)
+            outputs = _finalize_all(programs, order, int(key), flagged)
             record = tuple(outputs[u] for u in order)
             entries[record] = entries.get(record, 0.0) + weight * float(prob)
     return OutcomeDistribution(entries, space=output_space(topology))

@@ -61,12 +61,6 @@ class GraphStateProgram(NodeProgram):
         self.qubit = None
         self._relays = {}
 
-    def _round0_payload(self, v) -> bytes:
-        return b""
-
-    def _on_round1_message(self, v, payload: bytes):
-        pass
-
     def _after_disentangle(self):
         pass
 
@@ -82,18 +76,16 @@ class GraphStateProgram(NodeProgram):
                 relay = ctx.new_qubit()
                 ctx.apply("CNOT", q, relay)
                 self._relays[v] = relay
-                out[v] = Message(
-                    bytes([self.c]) + self._round0_payload(v), (relay,)
-                )
+                out[v] = Message(bytes([self.c]), (relay,))
             return out
         if t == 1:
             out = {}
             for v in neighbors:
                 msg = inbox[v]
-                c_v = msg.payload[0]
-                self._on_round1_message(v, msg.payload)
+                if not msg.qubits:
+                    continue  # a classical neighbor: no edge to entangle
                 (relay,) = msg.qubits
-                if self.c and c_v:
+                if self.c and msg.payload[0]:
                     ctx.apply("CS", self.qubit, relay)
                 out[v] = Message(b"", (relay,))
             return out
@@ -125,13 +117,15 @@ class GraphStateSampleProgram(GraphStateProgram):
 class RelationProgram(GraphStateProgram):
     """One node of the 2-round ring-measurement protocol.
 
-    Roles are read off the degree: degree-1 input nodes hold a bit and
-    forward it piggybacked on the round-0 message; degree-3 corners apply
-    the conditional phase; every ring node ends with H and a measurement.
+    Roles are read off the degree. A degree-1 input node is classical: it
+    sends its bit to its corner in round 0 and hands the corner's relay
+    back untouched in round 1. The ring nodes build the graph state;
+    degree-3 corners apply the conditional phase; every ring node ends
+    with H and a measurement.
     """
 
     def __init__(self):
-        super().__init__(c=None)
+        super().__init__(c=1)
 
     def _input_bit(self, ctx):
         if ctx.input is None:
@@ -140,29 +134,28 @@ class RelationProgram(GraphStateProgram):
 
     def init(self, ctx):
         self.role = role_of(ctx.view)
-        if self.role == "input-node":
-            self._c_arg = 0
-            self.b = self._input_bit(ctx)
-        else:
-            self._c_arg = 1
-            self.b = None
+        self.b = self._input_bit(ctx) if self.role == "input-node" else None
         super().init(ctx)
 
-    def _round0_payload(self, v) -> bytes:
+    def round(self, t, inbox):
         if self.role == "input-node":
-            return bytes([self.b])
-        return b""
-
-    def _on_round1_message(self, v, payload):
-        if self.role == "corner" and len(payload) >= 2:
-            self.b = payload[1]
+            (corner,) = self.ctx.neighbors
+            if t == 0:
+                return {corner: Message(bytes([self.b]))}
+            if t == 1:
+                return {corner: Message(b"", inbox[corner].qubits)}
+            return {}
+        if t == 1 and self.role == "corner":
+            bits = [m.payload for m in inbox.values() if not m.qubits]
+            if len(bits) != 1 or len(bits[0]) != 1:
+                raise ProtocolError(
+                    f"corner {self.ctx.self_id!r} needs one input bit"
+                )
+            self.b = bits[0][0]
+        return super().round(t, inbox)
 
     def _after_disentangle(self):
-        if self.role == "input-node":
-            return
         if self.role == "corner":
-            if self.b is None:
-                raise ProtocolError("corner received no input bit")
             self.ctx.apply("S_POWER", self.qubit, exponent=self.b)
         self.ctx.apply("H", self.qubit)
         self.ctx.measure(self.qubit)

@@ -35,9 +35,6 @@ class SparseState:
     def support_size(self) -> int:
         return len(self.indices)
 
-    def _bit(self, pos: int) -> np.ndarray:
-        return (self.indices >> np.uint64(pos)) & np.uint64(1)
-
     def bit_always_zero(self, pos: int) -> bool:
         return not np.any(self.indices & np.uint64(1 << pos))
 
@@ -139,10 +136,18 @@ class SparseState:
         self.amps = keep_amp / norm
 
     def _keys_for(self, positions) -> np.ndarray:
-        keys = np.zeros(len(self.indices), dtype=np.int64)
+        """Each row's key: its bit at positions[j] becomes bit j."""
+        keys = np.zeros(len(self.indices), dtype=np.uint64)
+        bit = np.empty_like(keys)
         for j, pos in enumerate(positions):
-            keys |= self._bit(pos).astype(np.int64) << j
-        return keys
+            # Shift bit `pos` to bit j and mask it, with no temporaries.
+            if pos >= j:
+                np.right_shift(self.indices, np.uint64(pos - j), out=bit)
+            else:
+                np.left_shift(self.indices, np.uint64(j - pos), out=bit)
+            bit &= np.uint64(1 << j)
+            keys |= bit
+        return keys.view(np.int64)
 
     def distribution_over(self, positions):
         """Exact joint law of the given slots: (keys, probabilities).
@@ -170,17 +175,13 @@ class SparseState:
 
         Every support index must be expressible over `positions` alone.
         """
-        n = len(positions)
         covered = np.uint64(0)
         for pos in positions:
             covered |= np.uint64(1 << pos)
         if np.any(self.indices & ~covered):
             raise ValueError("state has support outside the requested qubits")
-        out = np.zeros(2**n, dtype=complex)
-        flat = np.zeros(len(self.indices), dtype=np.int64)
-        for j, pos in enumerate(positions):
-            flat |= self._bit(pos).astype(np.int64) << (n - 1 - j)
-        out[flat] = self.amps
+        out = np.zeros(2 ** len(positions), dtype=complex)
+        out[self._keys_for(positions[::-1])] = self.amps
         return out
 
 

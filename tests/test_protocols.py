@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qlocal.cli import subgraph_fidelity_case, xor_oracle
+from qlocal.distributions import OutcomeDistribution, tv_distance
 from qlocal.errors import EntangledDisposalError, ProtocolError
-from qlocal.network import run, run_exact
+from qlocal.network import NodeProgram, run, run_exact
 from qlocal.protocols import (
     AffineStrategy,
     GraphStateProgram,
@@ -58,17 +59,53 @@ def test_missing_indicator_rejected():
 def test_relation_protocol_outputs_follow_process_law():
     """Conditioned on an input triple, the distributed protocol's outcome
     law must equal the centralized process law exactly."""
-    d, b = 2, (0, 1, 1)
-    dist = run_exact(
-        build_script_gd(d),
-        lambda: relation_protocol_programs(d),
-        rounds=2,
-        inputs=relation_inputs(d, b),
-    )
-    reference = exact_distribution(process_pd(d, b))
-    for record, p in dist.items():
-        x = tuple(record[i][0] for i in range(3 * d))
-        assert reference.probability(x) == pytest.approx(p, abs=1e-12)
+    for d in (2, 4):
+        for b in itertools.product((0, 1), repeat=3):
+            dist = run_exact(
+                build_script_gd(d),
+                lambda: relation_protocol_programs(d),
+                rounds=2,
+                inputs=relation_inputs(d, b),
+            )
+            law = {}
+            for record, p in dist.items():
+                assert all(out == b"" for out in record[3 * d:])
+                x = tuple(record[i][0] for i in range(3 * d))
+                law[x] = law.get(x, 0.0) + p
+            reference = exact_distribution(process_pd(d, b))
+            got = OutcomeDistribution(law, reference.space)
+            assert tv_distance(got, reference) <= 1e-12, (d, b)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("b", list(itertools.product((0, 1), repeat=3)))
+def test_relation_input_nodes_hold_no_qubits(d, b):
+    programs = relation_protocol_programs(d)
+    result = run(build_script_gd(d), programs, rounds=2,
+                 inputs=relation_inputs(d, b))
+    ring_qubits = [programs[u].qubit for u in range(3 * d)]
+    # raises unless the ring qubits are exactly the live ones
+    result.arena.dense_state(ring_qubits)
+    rows = 2 ** (3 * d - 1) if sum(b) % 2 else 2 ** (3 * d - 2)
+    assert result.arena.state.support_size == rows
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_sampling_input_nodes_hold_no_qubits(d):
+    programs = sampling_protocol_programs(d)
+    result = run(build_script_gd(d), programs, rounds=2, seed=3)
+    result.arena.dense_state([programs[u].qubit for u in range(3 * d)])
+
+
+@pytest.mark.parametrize("input_program", [GraphStateProgram, NodeProgram])
+def test_corner_rejects_an_input_node_that_sends_no_bit(input_program):
+    # a graph-state input node sends a relay, a bare one sends nothing
+    d = 2
+    programs = relation_protocol_programs(d)
+    programs[input_nodes(d)[0]] = input_program()
+    with pytest.raises(ProtocolError, match="needs one input bit"):
+        run(build_script_gd(d), programs, rounds=2,
+            inputs=relation_inputs(d, (1, 0, 1)))
 
 
 def test_relation_inputs_shape():

@@ -141,6 +141,20 @@ def _branches(seed, scale0, scale1, rows):
     return indices[order], amps[order], rest << np.uint64(1), c
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_keys_match_the_per_bit_reference(seed):
+    # positions in random order over all slots, so bits move both ways
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(0, 2**63, size=200, dtype=np.uint64)
+    positions = [int(p) for p in rng.permutation(MAX_SLOTS)[:40]]
+    state = _sparse(indices, np.ones(len(indices), dtype=complex))
+    want = [
+        sum(((int(i) >> p) & 1) << j for j, p in enumerate(positions))
+        for i in indices
+    ]
+    assert state._keys_for(positions).tolist() == want
+
+
 _SCALES = st.floats(-6, 0)
 
 
