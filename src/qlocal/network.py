@@ -27,7 +27,7 @@ from .errors import (
     ProtocolError,
     ResourceLimitError,
 )
-from .sparse import MAX_SLOTS, SparseState, decode_key
+from .sparse import MAX_SLOTS, SparseState
 from .statevector import Gate
 from .topology import Topology
 
@@ -77,9 +77,9 @@ class NodeProgram:
     """Per-node behavior: init, one handler per round call, finalize.
 
     `finalize(measured)` receives the terminal measurement outcome of every
-    qubit the program flagged via `ctx.measure`. It must be side-effect
-    free: the exact-law and multi-shot runners call it repeatedly with
-    different outcomes.
+    qubit the program flagged via `ctx.measure`. It must be pure: the
+    runners call it once per distinct value of those bits and reuse the
+    result for every outcome that shares it.
     """
 
     randomness_bits = 0
@@ -149,17 +149,13 @@ class QuantumArena:
         del self._owner[qid]
         self._free_slots.append(slot)
 
-    def transfer(self, qids, new_owner):
-        for qid in qids:
-            self._owner[qid] = new_owner
+    def transfer(self, moves):
+        """Hand each qubit of `moves` ({qid: node}) to its new owner."""
+        self._owner.update(moves)
 
     def distribution_over(self, qids):
         slots = [self._slot[q] for q in qids]
         return self.state.distribution_over(slots)
-
-    def sample_over(self, qids, rng, shots):
-        slots = [self._slot[q] for q in qids]
-        return self.state.sample_over(slots, rng, shots)
 
     def dense_state(self, qid_order) -> np.ndarray:
         """Dense statevector over all live qubits, in the given order."""
@@ -288,82 +284,93 @@ def _execute_rounds(
         contexts[u] = ctx
         prog.init(ctx)
 
-    inboxes = {u: {v: EMPTY_MESSAGE for v in topology.neighbors(u)} for u in order}
+    inboxes = {u: dict.fromkeys(topology.neighbors(u), EMPTY_MESSAGE) for u in order}
     for t in range(rounds + 1):
-        outboxes = {}
+        # Qubits change owner only after the pass, at the round boundary.
+        moves = {}
+        new_inboxes = {
+            u: dict.fromkeys(topology.neighbors(u), EMPTY_MESSAGE) for u in order
+        }
         for u in order:
             contexts[u]._round = t
             out = programs[u].round(t, inboxes[u]) or {}
-            for v, msg in out.items():
+            if out and t == rounds:
+                raise ProtocolError(
+                    f"node {u!r} sent a message in the final round call; "
+                    f"the execution has no round {t + 1}"
+                )
+            for v, msg in sorted(out.items(), key=lambda kv: repr(kv[0])):
                 if v not in topology.neighbors(u):
                     raise ProtocolError(
                         f"node {u!r} addressed non-neighbor {v!r} in round {t}"
                     )
                 if not isinstance(msg, Message):
                     raise ProtocolError(f"node {u!r} sent a non-Message object")
-            outboxes[u] = out
-        if t == rounds:
-            for u, out in outboxes.items():
-                if out:
+                # A mutable payload or qubit container would let the sender
+                # change the message after it is sent.
+                if not (type(msg.payload) is bytes and type(msg.qubits) is tuple):
                     raise ProtocolError(
-                        f"node {u!r} sent a message in the final round call; "
-                        f"the execution has no round {t + 1}"
+                        f"node {u!r} sent a message whose payload is not bytes "
+                        f"or whose qubits are not a tuple in round {t}"
                     )
-            break
-        # Validate every transfer before mutating ownership: the ownership
-        # map updates atomically at the round boundary.
-        sent_qubits = set()
-        for u in order:
-            for v, msg in sorted(outboxes[u].items(), key=lambda kv: repr(kv[0])):
                 for qid in msg.qubits:
                     if arena.owner_of(qid) != u:
                         raise LocalityError(u, t, qid)
-                    if qid in sent_qubits:
-                        raise ProtocolError(
-                            f"qubit {qid} sent twice in round {t}"
-                        )
-                    sent_qubits.add(qid)
-        new_inboxes = {
-            u: {v: EMPTY_MESSAGE for v in topology.neighbors(u)} for u in order
-        }
-        for u in order:
-            for v, msg in sorted(outboxes[u].items(), key=lambda kv: repr(kv[0])):
-                arena.transfer(msg.qubits, v)
+                    if qid in moves:
+                        raise ProtocolError(f"qubit {qid} sent twice in round {t}")
+                    moves[qid] = v
                 new_inboxes[v][u] = msg
                 trace_messages.append(
-                    TraceRecord(t, u, v, len(msg.payload), tuple(msg.qubits))
+                    TraceRecord(t, u, v, len(msg.payload), msg.qubits)
                 )
+        arena.transfer(moves)
         inboxes = new_inboxes
     return contexts, arena, trace_messages
 
 
-def _flagged_qubits(contexts, order):
-    flagged = []
+def _law(contexts, order, arena):
+    """Joint law of every flagged qubit, node by node: (keys, probs)."""
+    qids = [q for u in order for q in contexts[u]._measure_flags]
+    if not qids:
+        return np.zeros(1, dtype=np.int64), np.ones(1)
+    return arena.distribution_over(qids)
+
+
+def _finalize_all(programs, contexts, order, keys) -> list:
+    """Each key's record: the tuple of node outputs in node order.
+
+    A node's flagged qubits are consecutive bits of the key, so its pure
+    `finalize` runs once per distinct value of those bits.
+    """
+    columns = []
+    shift = 0
     for u in order:
-        for qid in contexts[u]._measure_flags:
-            flagged.append((u, qid))
-    return flagged
-
-
-def _finalize_all(programs, order, key, flagged):
-    bits = decode_key(key, len(flagged)) if flagged else ()
-    per_node = {u: {} for u in order}
-    for j, (u, qid) in enumerate(flagged):
-        per_node[u][qid] = bits[j]
-    return {u: programs[u].finalize(per_node[u]) for u in order}
+        flags = contexts[u]._measure_flags
+        if not flags:
+            columns.append([programs[u].finalize({})] * len(keys))
+            continue
+        values, inverse = np.unique(
+            (keys >> shift) & ((1 << len(flags)) - 1), return_inverse=True
+        )
+        shift += len(flags)
+        table = np.array([
+            programs[u].finalize(
+                {q: (int(value) >> j) & 1 for j, q in enumerate(flags)}
+            )
+            for value in values
+        ], dtype=object)
+        columns.append(table[inverse].tolist())
+    return list(zip(*columns))
 
 
 def _sample_outputs(programs, contexts, order, arena, seed, shots) -> list:
-    """Draw `shots` terminal measurements and finalize every node on each."""
-    flagged = _flagged_qubits(contexts, order)
-    if flagged:
-        rng = np.random.default_rng(seed)
-        keys = arena.sample_over([q for _, q in flagged], rng, shots)
-    else:
-        keys = np.zeros(shots, dtype=np.int64)
-    return [
-        _finalize_all(programs, order, int(k), flagged) for k in keys
-    ]
+    """Draw `shots` terminal measurements; one record per shot."""
+    keys, probs = _law(contexts, order, arena)
+    if len(keys) == 1:  # a sure outcome needs no draw
+        return _finalize_all(programs, contexts, order, keys) * shots
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(keys), p=probs, size=shots)
+    return _finalize_all(programs, contexts, order, keys[picks])
 
 
 def run(
@@ -379,7 +386,8 @@ def run(
     contexts, arena, messages = _execute_rounds(
         topology, programs, rounds, seed, inputs, classical_only, None
     )
-    (outputs,) = _sample_outputs(programs, contexts, order, arena, seed, 1)
+    (record,) = _sample_outputs(programs, contexts, order, arena, seed, 1)
+    outputs = dict(zip(order, record))
     trace = ExecutionTrace(rounds=rounds, messages=messages, outputs=outputs)
     return ExecutionResult(outputs, trace, arena)
 
@@ -403,7 +411,8 @@ def run_sampled(
     contexts, arena, _ = _execute_rounds(
         topology, programs, rounds, seed, inputs, False, None
     )
-    return _sample_outputs(programs, contexts, order, arena, seed, shots)
+    records = _sample_outputs(programs, contexts, order, arena, seed, shots)
+    return [dict(zip(order, record)) for record in records]
 
 
 def _randomness_branches(topology, make_programs, max_random_bits):
@@ -448,14 +457,9 @@ def run_exact(
             topology, programs, rounds, seed=0, inputs=inputs,
             classical_only=False, randomness_overrides=overrides,
         )
-        flagged = _flagged_qubits(contexts, order)
-        if flagged:
-            keys, probs = arena.distribution_over([q for _, q in flagged])
-        else:
-            keys, probs = [0], [1.0]
-        for key, prob in zip(keys, probs):
-            outputs = _finalize_all(programs, order, int(key), flagged)
-            record = tuple(outputs[u] for u in order)
+        keys, probs = _law(contexts, order, arena)
+        records = _finalize_all(programs, contexts, order, keys)
+        for record, prob in zip(records, probs):
             entries[record] = entries.get(record, 0.0) + weight * float(prob)
     return OutcomeDistribution(entries, space=output_space(topology))
 
@@ -498,10 +502,9 @@ def empirical_distribution(
                 topology, programs, rounds, branch_seed, inputs, False,
                 overrides,
             )
-            for outputs in _sample_outputs(
+            for record in _sample_outputs(
                 programs, contexts, order, arena, branch_seed, int(n)
             ):
-                record = tuple(outputs[u] for u in order)
                 counts[record] = counts.get(record, 0) + 1
     else:
         for _ in range(shots):

@@ -84,6 +84,11 @@ class GraphStateProgram(NodeProgram):
                 msg = inbox[v]
                 if not msg.qubits:
                     continue  # a classical neighbor: no edge to entangle
+                if len(msg.qubits) != 1 or len(msg.payload) != 1:
+                    raise ProtocolError(
+                        f"node {ctx.self_id!r} needs one relay and one "
+                        f"indicator byte from {v!r}"
+                    )
                 (relay,) = msg.qubits
                 if self.c and msg.payload[0]:
                     ctx.apply("CS", self.qubit, relay)
@@ -91,10 +96,11 @@ class GraphStateProgram(NodeProgram):
             return out
         if t == 2:
             for v in neighbors:
-                (relay,) = inbox[v].qubits
-                if relay != self._relays[v]:
+                relay = self._relays[v]
+                if inbox[v].qubits != (relay,):
                     raise ProtocolError(
-                        f"node {ctx.self_id!r} got back a foreign register"
+                        f"node {ctx.self_id!r} did not get its relay back "
+                        f"from {v!r}"
                     )
                 ctx.apply("CNOT", self.qubit, relay)
                 ctx.discard(relay)

@@ -160,15 +160,8 @@ class SparseState:
         keys = self._keys_for(positions)
         probs = np.abs(self.amps) ** 2
         uniq, inverse = np.unique(keys, return_inverse=True)
-        summed = np.zeros(len(uniq))
-        np.add.at(summed, inverse, probs)
+        summed = np.bincount(inverse, weights=probs)
         return uniq, summed / summed.sum()
-
-    def sample_over(self, positions, rng: np.random.Generator, shots: int):
-        """Sample `shots` joint outcomes of the given slots, without collapse."""
-        keys, probs = self.distribution_over(positions)
-        picks = rng.choice(len(keys), p=probs, size=shots)
-        return keys[picks]
 
     def dense_vector(self, positions) -> np.ndarray:
         """Dense amplitudes over the given slots, big-endian like StateVector.
@@ -202,8 +195,3 @@ def _pruned(idx: np.ndarray, amps: np.ndarray):
     if keep.all():
         return idx, amps
     return idx[keep], amps[keep]
-
-
-def decode_key(key: int, width: int) -> tuple:
-    """Bits of a distribution_over key: position j's bit at index j."""
-    return tuple((int(key) >> j) & 1 for j in range(width))

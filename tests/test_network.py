@@ -22,7 +22,13 @@ from qlocal.network import (
     run_exact,
     run_sampled,
 )
-from qlocal.statevector import GATES, Gate, apply_gate, new_state
+from qlocal.statevector import (
+    GATES,
+    Gate,
+    apply_gate,
+    exact_distribution,
+    new_state,
+)
 from qlocal.topology import Topology
 
 PATH2 = Topology([0, 1], [(0, 1)])
@@ -265,6 +271,151 @@ def test_ownership_transfers_at_round_boundary():
 
     result = run(PATH2, {0: Handoff(), 1: Handoff()}, rounds=1, seed=5)
     assert result.outputs[1] == b"\x00"  # HH = identity on |0>
+
+
+def test_receiver_cannot_touch_a_qubit_sent_in_the_same_round_call():
+    sent = []
+
+    class Handoff(NodeProgram):
+        def round(self, t, inbox):
+            if t == 0 and self.ctx.self_id == 0:
+                sent.append(self.ctx.new_qubit())
+                return {1: Message(b"", (sent[0],))}
+            if t == 0 and self.ctx.self_id == 1:
+                self.ctx.apply("H", sent[0])  # still node 0's until delivery
+            return {}
+
+    with pytest.raises(LocalityError) as err:
+        run(PATH2, {0: Handoff(), 1: Handoff()}, rounds=1)
+    assert err.value.node == 1
+
+
+# A bytearray payload or a list of qubits stays writable by its sender after
+# it is sent, so a later write would reach the receiver.
+@pytest.mark.parametrize("make_message", [
+    lambda ctx: Message(bytearray(b"x")),
+    lambda ctx: Message(b"", [ctx.new_qubit()]),
+], ids=["bytearray-payload", "list-of-qubits"])
+def test_mutable_message_parts_rejected(make_message):
+    class Sender(NodeProgram):
+        def round(self, t, inbox):
+            if t == 0 and self.ctx.self_id == 0:
+                return {1: make_message(self.ctx)}
+            return {}
+
+    with pytest.raises(ProtocolError, match="not bytes"):
+        run(PATH2, {0: Sender(), 1: NodeProgram()}, rounds=1)
+
+
+STAR = Topology([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+# The hub creates qubit j and hands it to node OWNER[j]: the leaves flag 1,
+# 2 and 3 qubits, the hub keeps one entangled qubit and flags none.
+OWNER = (3, 1, 0, 3, 2, 3, 2)
+CIRCUIT = (
+    ("H", (0,)), ("H", (2,)), ("H", (4,)), ("CNOT", (0, 1)),
+    ("CS", (2, 3)), ("H", (3,)), ("CNOT", (4, 5)), ("CZ", (1, 6)),
+    ("H", (6,)), ("S", (5,)), ("CNOT", (2, 6)), ("H", (5,)),
+    ("CS", (0, 4)), ("H", (0,)), ("CNOT", (3, 1)), ("H", (1,)),
+)
+
+
+def _leaf_positions(leaf):
+    """Circuit qubits of a leaf in the order it flags them: reversed."""
+    return [j for j, owner in enumerate(OWNER) if owner == leaf][::-1]
+
+
+class StarNode(NodeProgram):
+    def init(self, ctx):
+        self.ctx = ctx
+        self.flags = []
+
+    def round(self, t, inbox):
+        ctx = self.ctx
+        if t == 0 and ctx.self_id == 0:
+            qids = [ctx.new_qubit() for _ in OWNER]
+            for kind, targets in CIRCUIT:
+                ctx.apply(kind, *(qids[j] for j in targets))
+            out = {}
+            for leaf in (1, 2, 3):
+                sent = [qids[j] for j in _leaf_positions(leaf)[::-1]]
+                out[leaf] = Message(b"", tuple(sent))
+            return out
+        if t == 1 and ctx.self_id != 0:
+            self.flags = list(inbox[0].qubits[::-1])
+            for q in self.flags:
+                ctx.measure(q)
+        return {}
+
+    def finalize(self, measured):
+        return bytes(measured[q] for q in self.flags)
+
+
+def test_run_exact_matches_the_dense_law_across_flag_widths():
+    state = new_state(len(OWNER))
+    for kind, targets in CIRCUIT:
+        state = apply_gate(state, Gate(kind, targets))
+    expected = {}
+    for bits, p in exact_distribution(state).items():
+        record = (b"",) + tuple(
+            bytes(bits[j] for j in _leaf_positions(leaf)) for leaf in (1, 2, 3)
+        )
+        expected[record] = expected.get(record, 0.0) + p
+    law = run_exact(STAR, lambda: {u: StarNode() for u in STAR.nodes}, rounds=1)
+    assert len(expected) > 8
+    for record in set(expected) | set(law.entries):
+        assert law.probability(record) == pytest.approx(
+            expected.get(record, 0.0), abs=1e-12
+        )
+
+
+class CountingCoins(NodeProgram):
+    """Flags `width` qubits in |+> and logs every finalize call."""
+
+    randomness_bits = 1
+
+    def __init__(self, width, branch, calls):
+        self.width, self.branch, self.calls = width, branch, calls
+
+    def round(self, t, inbox):
+        self.flags = [self.ctx.new_qubit() for _ in range(self.width)]
+        for q in self.flags:
+            self.ctx.apply("H", q)
+            self.ctx.measure(q)
+        return {}
+
+    def finalize(self, measured):
+        self.calls.append(
+            (self.branch, self.ctx.self_id, tuple(sorted(measured.items())))
+        )
+        return bytes(measured[q] for q in self.flags)
+
+
+def test_finalize_runs_once_per_value_of_the_node_bits():
+    topo = Topology([0, 1, 2], [(0, 1), (1, 2)])
+    widths = {0: 2, 1: 0, 2: 1}
+    calls = []
+    branches = iter(range(100))
+
+    def make_programs():
+        branch = next(branches)
+        return {u: CountingCoins(w, branch, calls) for u, w in widths.items()}
+
+    law = run_exact(topo, make_programs, rounds=0)
+    assert len(law) == 8  # 2^3 terminal keys per branch, 8 branches
+    assert len(calls) == len(set(calls))
+    per_node = {}
+    for branch, node, _ in calls:
+        per_node[branch, node] = per_node.get((branch, node), 0) + 1
+    assert len({branch for branch, _ in per_node}) == 8
+    assert all(n == 2 ** widths[node] for (_, node), n in per_node.items())
+
+    calls.clear()
+    run_sampled(topo, make_programs(), rounds=0, shots=200)
+    per_node = {}
+    for _, node, _ in calls:
+        per_node[node] = per_node.get(node, 0) + 1
+    assert all(n <= 2 ** widths[node] for node, n in per_node.items())
+    assert per_node[1] == 1
 
 
 def test_trace_is_deterministic():

@@ -6,7 +6,7 @@ import pytest
 from qlocal.cli import subgraph_fidelity_case, xor_oracle
 from qlocal.distributions import OutcomeDistribution, tv_distance
 from qlocal.errors import EntangledDisposalError, ProtocolError
-from qlocal.network import NodeProgram, run, run_exact
+from qlocal.network import Message, NodeProgram, run, run_exact
 from qlocal.protocols import (
     AffineStrategy,
     GraphStateProgram,
@@ -106,6 +106,33 @@ def test_corner_rejects_an_input_node_that_sends_no_bit(input_program):
     with pytest.raises(ProtocolError, match="needs one input bit"):
         run(build_script_gd(d), programs, rounds=2,
             inputs=relation_inputs(d, (1, 0, 1)))
+
+
+class _BadNeighbour(NodeProgram):
+    """Neighbour of a graph-state node that breaks the relay exchange."""
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def round(self, t, inbox):
+        if t != 0:
+            return {}  # keeps the relay it was sent
+        qubits = (self.ctx.new_qubit(),)
+        payload = b"\x01"
+        if self.fault == "two-qubits":
+            qubits += (self.ctx.new_qubit(),)
+        elif self.fault == "empty-payload":
+            payload = b""
+        return {0: Message(payload, qubits)}
+
+
+@pytest.mark.parametrize("fault", ["keeps-relay", "two-qubits",
+                                   "empty-payload"])
+def test_graph_state_node_rejects_a_broken_relay_exchange(fault):
+    topo = Topology([0, 1], [(0, 1)])
+    programs = {0: GraphStateProgram(c=1), 1: _BadNeighbour(fault)}
+    with pytest.raises(ProtocolError, match="^node 0 "):
+        run(topo, programs, rounds=2)
 
 
 def test_relation_inputs_shape():
