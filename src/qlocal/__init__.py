@@ -12,6 +12,7 @@ from .errors import (
     EntangledDisposalError,
     LocalityError,
     ModelViolationError,
+    NonCliffordError,
     ProtocolError,
     ResourceLimitError,
     SimulationError,
@@ -50,7 +51,6 @@ from .statevector import (
     exact_distribution,
     fidelity,
     new_state,
-    support,
 )
 from .topology import (
     Topology,

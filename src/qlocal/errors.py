@@ -32,3 +32,7 @@ class ModelViolationError(SimulationError):
 
 class EntangledDisposalError(SimulationError):
     """A qubit was discarded while still entangled with the rest of the arena."""
+
+
+class NonCliffordError(SimulationError):
+    """A gate outside the Clifford group reached the stabilizer tableau."""

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ProtocolError
 from .network import Message, NodeProgram, role_of
 from .statevector import (
     StateVector,
-    apply_gate,
-    build_graph_state,
+    graph_state_gates,
     h,
+    run_gates,
     s_power,
 )
 from .topology import (
@@ -214,17 +215,22 @@ def _check_bits(b) -> tuple:
     return b
 
 
-def process_pd(d: int, b) -> StateVector:
-    """Centralized reference for the ring measurement process: graph state
-    on the 3d-ring, conditional S at the corners, H everywhere. The exact
-    distribution of the returned state is the measurement law."""
+def process_gates(d: int, b) -> list:
+    """The ring measurement process as a Clifford circuit on 3d qubits:
+    graph state on the 3d-ring, conditional S at the corners, H everywhere.
+    `process_pd` runs it densely and `verify.enumerate_support` on a
+    stabilizer tableau."""
     b = _check_bits(b)
-    state = build_graph_state(build_gd(d))
-    for i, bit in enumerate(b):
-        state = apply_gate(state, s_power(bit, d * i))
-    for q in range(3 * d):
-        state = apply_gate(state, h(q))
-    return state
+    gates = graph_state_gates(build_gd(d))
+    gates += [s_power(bit, d * i) for i, bit in enumerate(b)]
+    gates += [h(q) for q in range(3 * d)]
+    return gates
+
+
+def process_pd(d: int, b) -> StateVector:
+    """Centralized dense reference for the ring measurement process. The
+    exact distribution of the returned state is the measurement law."""
+    return run_gates(3 * d, process_gates(d, b))
 
 
 # --- classical affine strategies -------------------------------------------
@@ -326,18 +332,26 @@ def affine_carrier_terms(d: int, strategy: AffineStrategy) -> dict:
     return {n: v for n, v in terms.items() if v[0] or v[1]}
 
 
-def _encode_known(known: dict) -> bytes:
-    return json.dumps(sorted(known.items())).encode()
+# A flooding node sends and receives the same few payloads on every round
+# call, so both directions of the codec are memoized. They are pure: the
+# cache only saves the JSON work.
+@lru_cache(maxsize=4096)
+def _encode_known(items: tuple) -> bytes:
+    """The payload of a `known` dict, given its items as a sorted tuple."""
+    return json.dumps(items).encode()
 
 
-def _decode_known(payload: bytes) -> dict:
+@lru_cache(maxsize=4096)
+def _decode_known(payload: bytes) -> tuple:
+    """The (node, bit) pairs of a payload, as a tuple so that no caller can
+    change the cached value."""
     if not payload:
-        return {}
+        return ()
     # JSON turns a tuple node id into a list; turn it back.
-    return {
-        (_as_tuple(k) if k.__class__ is list else k): v
+    return tuple(
+        (_as_tuple(k) if k.__class__ is list else k, v)
         for k, v in json.loads(payload.decode())
-    }
+    )
 
 
 def _as_tuple(item):
@@ -363,7 +377,7 @@ class _FloodingProgram(NodeProgram):
             self.known.update(_decode_known(msg.payload))
         if t >= self.rounds:
             return {}
-        payload = _encode_known(self.known)
+        payload = _encode_known(tuple(sorted(self.known.items())))
         return {v: Message(payload) for v in self.ctx.neighbors}
 
 

@@ -18,8 +18,6 @@ DEFAULT_MAX_QUBITS = 26
 # An amplitude within PRUNE_TOL of zero is rounding noise: the arena drops
 # its row, and the exact law drops its entry.
 PRUNE_TOL = 1e-12
-# Probability above which an outcome counts as in a state's support.
-SUPPORT_TOL = 1e-9
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -147,20 +145,32 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(n, out.reshape(-1))
 
 
-def build_graph_state(topology: Topology) -> StateVector:
+def graph_state_gates(topology: Topology) -> list:
     """H on every node's qubit, then CZ across every edge.
 
     Qubit q holds the q-th node in ascending identifier order.
     """
+    index = {u: q for q, u in enumerate(topology.nodes)}
+    gates = [h(q) for q in range(topology.num_nodes)]
+    for e in sorted(tuple(sorted(e)) for e in topology.edges):
+        gates.append(cz(index[e[0]], index[e[1]]))
+    return gates
+
+
+def run_gates(n: int, gates) -> StateVector:
+    """The gates applied in order to the all-zeros state on n qubits."""
+    state = new_state(n)
+    for gate in gates:
+        state = apply_gate(state, gate)
+    return state
+
+
+def build_graph_state(topology: Topology) -> StateVector:
+    """The graph state of the topology, qubits in `graph_state_gates`
+    order."""
     if topology.num_nodes < 1:
         raise ValueError("graph state needs at least one node")
-    index = {u: q for q, u in enumerate(topology.nodes)}
-    state = new_state(topology.num_nodes)
-    for q in range(topology.num_nodes):
-        state = apply_gate(state, h(q))
-    for e in sorted(tuple(sorted(e)) for e in topology.edges):
-        state = apply_gate(state, cz(index[e[0]], index[e[1]]))
-    return state
+    return run_gates(topology.num_nodes, graph_state_gates(topology))
 
 
 def _outcomes(indices: np.ndarray, n: int):
@@ -180,14 +190,6 @@ def exact_distribution(state: StateVector) -> OutcomeDistribution:
     probs = amps[nz] ** 2
     entries = dict(zip(_outcomes(nz, n), probs.tolist()))
     return OutcomeDistribution(entries, space=("bits", n))
-
-
-def support(state: StateVector) -> frozenset:
-    """All outcome bitstrings with probability above SUPPORT_TOL."""
-    n = state.num_qubits
-    probs = np.abs(state.amplitudes) ** 2
-    nz = np.nonzero(probs > SUPPORT_TOL)[0]
-    return frozenset(_outcomes(nz, n))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -15,13 +15,13 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from . import statevector
 from .protocols import (
     AffineStrategy,
     affine_output_string,
     all_affine_strategies,
-    process_pd,
+    process_gates,
 )
+from .stabilizer import AffineSupport, circuit_support
 from .topology import ring_partition
 
 
@@ -110,12 +110,13 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("XDG_CACHE_HOME", "~/.cache")).expanduser() / "qlocal"
 
 
-def enumerate_support(d: int, b) -> frozenset:
-    """All outcome strings of the ring process with probability above
-    `statevector.SUPPORT_TOL`, memoized in memory per (d, b)."""
+def enumerate_support(d: int, b) -> AffineSupport:
+    """The outcome strings of the ring process on input b: an affine
+    subspace of GF(2)^{3d} read off a stabilizer tableau run of the
+    process's circuit, memoized in memory per (d, b)."""
     b = tuple(b)
     if (d, b) not in _SUPPORT_CACHE:
-        _SUPPORT_CACHE[d, b] = statevector.support(process_pd(d, b))
+        _SUPPORT_CACHE[d, b] = circuit_support(3 * d, process_gates(d, b))
     return _SUPPORT_CACHE[d, b]
 
 

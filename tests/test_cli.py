@@ -69,14 +69,14 @@ def test_simulation_error_is_usage_error(experiment, capsys):
     assert "Traceback" not in err
 
 
-def test_dense_cap_is_usage_error(capsys):
-    # the d=10 support oracle needs a 30-qubit dense statevector
-    with pytest.raises(SystemExit) as exc:
-        main(["--experiment", "k-copies", "--d", "10"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "exceeds the dense statevector cap of 26" in err
-    assert "Traceback" not in err
+def test_k_copies_beyond_the_dense_cap(capsys):
+    # the d=10 support oracle would need a 30-qubit dense statevector; the
+    # stabilizer tableau needs none
+    assert main(["--experiment", "k-copies", "--d", "10",
+                 "--format", "records"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["d"] == 10 and record["measured"] == "7/8"
+    assert record["ok"] is True
 
 
 def test_unknown_experiment_rejected():

@@ -21,7 +21,6 @@ from qlocal.statevector import (
     new_state,
     s,
     s_power,
-    support,
 )
 from qlocal.topology import Topology
 
@@ -146,7 +145,7 @@ def test_path_graph_state_amplitudes():
 
 def test_graph_state_has_full_support():
     topo = Topology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert len(support(build_graph_state(topo))) == 16
+    assert len(exact_distribution(build_graph_state(topo)).entries) == 16
 
 
 def test_exact_distribution_normalizes():
@@ -175,7 +174,6 @@ def test_apply_gate_matches_kronecker_reference(n):
 def test_zero_qubit_state_has_the_empty_outcome():
     state = new_state(0)
     assert exact_distribution(state).entries == {(): 1.0}
-    assert support(state) == frozenset({()})
 
 
 def test_fidelity_dimension_mismatch():
