@@ -33,7 +33,6 @@ from .protocols import (
     RelationProgram,
     affine_strategy_programs,
     all_affine_strategies,
-    process_pd,
     relation_inputs,
     relation_protocol_programs,
     sampling_protocol_programs,
@@ -47,7 +46,6 @@ from .statevector import (
     Gate,
     StateVector,
     apply_gate,
-    build_graph_state,
     exact_distribution,
     fidelity,
     new_state,

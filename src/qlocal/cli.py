@@ -26,7 +26,6 @@ from .protocols import (
     relation_inputs,
     relation_protocol_programs,
 )
-from .statevector import StateVector, build_graph_state, fidelity
 from .topology import Topology, build_script_gd, input_nodes
 
 DEFAULT_SEED = 1234
@@ -87,18 +86,25 @@ def _affine_bound():
 
 def subgraph_fidelity_case(topology: Topology, assignment: dict):
     """Run the 2-round construction for one indicator assignment; returns
-    (fidelity to the centrally built reference, message-bearing rounds)."""
+    (fidelity to the graph state of the kept edges, message-bearing rounds).
+
+    The fidelity to |G> = U_G|0> is the probability of all zeros once
+    U_G^dagger (CZ on the kept edges, then H on every node qubit) acts on
+    the state the run built; an owner that is no node applies it.
+    """
     programs = {u: GraphStateProgram(assignment[u]) for u in topology.nodes}
     result = run(topology, programs, rounds=2)
-    order = list(topology.nodes)
-    qids = [programs[u].qubit for u in order]
-    kept = Topology(
-        order,
-        [e for e in topology.edges if all(assignment[u] for u in e)],
-        allow_disconnected=True,
-    )
-    built = StateVector(len(qids), result.arena.dense_state(qids))
-    fid = fidelity(build_graph_state(kept), built)
+    arena = result.arena
+    qubit = {u: programs[u].qubit for u in topology.nodes}
+    owner = object()
+    arena.transfer({q: owner for q in qubit.values()})
+    for e in topology.edges:
+        if all(assignment[u] for u in e):
+            arena.apply(owner, 2, "CZ", [qubit[u] for u in e])
+    for q in qubit.values():
+        arena.apply(owner, 2, "H", [q])
+    keys, probs = arena.distribution_over(list(qubit.values()))
+    fid = float(probs[keys == 0].sum())
     return fid, result.trace.message_rounds()
 
 

@@ -18,13 +18,7 @@ from functools import lru_cache
 
 from .errors import ProtocolError
 from .network import Message, NodeProgram, role_of
-from .statevector import (
-    StateVector,
-    graph_state_gates,
-    h,
-    run_gates,
-    s_power,
-)
+from .statevector import graph_state_gates, h, s_power
 from .topology import (
     Topology,
     build_gd,
@@ -218,19 +212,13 @@ def _check_bits(b) -> tuple:
 def process_gates(d: int, b) -> list:
     """The ring measurement process as a Clifford circuit on 3d qubits:
     graph state on the 3d-ring, conditional S at the corners, H everywhere.
-    `process_pd` runs it densely and `verify.enumerate_support` on a
-    stabilizer tableau."""
+    `verify.enumerate_support` runs it on a stabilizer tableau, and the
+    tests run it densely as the reference."""
     b = _check_bits(b)
     gates = graph_state_gates(build_gd(d))
     gates += [s_power(bit, d * i) for i, bit in enumerate(b)]
     gates += [h(q) for q in range(3 * d)]
     return gates
-
-
-def process_pd(d: int, b) -> StateVector:
-    """Centralized dense reference for the ring measurement process. The
-    exact distribution of the returned state is the measurement law."""
-    return run_gates(3 * d, process_gates(d, b))
 
 
 # --- classical affine strategies -------------------------------------------

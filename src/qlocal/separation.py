@@ -1,10 +1,12 @@
 """Exact laws for the sampling separation.
 
 The target law pairs three unbiased input bits with the ring measurement
-outcome of the process run on those bits. A classical adversary from the
-lower bound's family draws the bit triple from a product distribution and
-emits a deterministic affine outcome string per triple; the search returns
-the family's minimum total variation distance to the target.
+outcome of the process run on those bits, which is uniform on the affine
+support S_b that `verify.enumerate_support` gives. A classical adversary
+from the lower bound's family draws the bit triple from a product
+distribution and emits a deterministic affine outcome string per triple;
+the search returns the family's minimum total variation distance to the
+target.
 """
 from __future__ import annotations
 
@@ -20,11 +22,10 @@ from .protocols import (
     affine_carrier_terms,
     affine_output_string,
     all_affine_strategies,
-    process_pd,
     sampling_protocol_programs,
 )
-from .statevector import exact_distribution
 from .topology import build_script_gd, ring_distance
+from .verify import enumerate_support
 
 _B_TRIPLES = tuple(product((0, 1), repeat=3))
 
@@ -34,15 +35,17 @@ def gamma_space(d: int) -> tuple:
 
 
 def exact_gamma(d: int) -> OutcomeDistribution:
-    """The target joint law: uniform bit triple b, then the exact outcome
-    law of the ring process on b. Keys are ((b0,b1,b2), (x_0..x_{3d-1}))."""
+    """The target joint law Γ = (1/8) Σ_b U(S_b), keyed by
+    ((b0,b1,b2), (x_0..x_{3d-1})). The dict holds every support string,
+    786,432 at d=6, so d is capped there."""
     if d > 6:
-        raise ValueError("exact target law capped at d=6")
+        raise ValueError("exact target law capped at d=6 by the size of its dict")
     entries = {}
     for b in _B_TRIPLES:
-        branch = exact_distribution(process_pd(d, b))
-        for x, p in branch.items():
-            entries[(b, x)] = p / 8.0
+        support = enumerate_support(d, b)
+        p = 2.0**-support.dim / 8
+        for x in support:
+            entries[(b, x)] = p
     return OutcomeDistribution(entries, space=gamma_space(d))
 
 
@@ -121,14 +124,16 @@ def min_tv_affine_adversary(d: int, T: int):
     The family: each input bit is drawn with a bias from the 1/22-step
     grid, and the outcome string is an admissible affine strategy whose
     terms only use bits visible within ring distance 2T-1 of their corner.
+    Γ's eight point probabilities per strategy come from the supports, so
+    Γ is never built and any even d with T <= d/4 runs.
     Returns (min tv, witness).
     """
     if T < 1:
         raise ValueError("round budget must be at least 1")
     if T > d // 4:
         raise ValueError(f"T={T} exceeds d/4={d // 4}")
-    target = exact_gamma(d)
-    # mass of the target on each input triple's branch is exactly 1/8
+    # Γ puts 2^-dim/8 on each string of S_b, so each branch has mass 1/8
+    supports = [(b, enumerate_support(d, b)) for b in _B_TRIPLES]
     grid = _bias_grid()
     b_arr = np.array(_B_TRIPLES, dtype=float)  # (8, 3)
     # q[g, j] = probability the g-th bias combo assigns to triple j
@@ -144,8 +149,8 @@ def min_tv_affine_adversary(d: int, T: int):
     for strategy in _visible_strategies(d, 2 * T - 1):
         gamma_hits = np.array(
             [
-                target.probability((b, affine_output_string(d, strategy, b)))
-                for b in _B_TRIPLES
+                2.0**-s.dim / 8 if affine_output_string(d, strategy, b) in s else 0.0
+                for b, s in supports
             ]
         )
         # per bias combo: tv = 1/2 [ sum_b |q_b - gamma_b| + (1 - sum_b gamma_b) ]

@@ -24,11 +24,13 @@ _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 class AffineSupport(Set):
     """The bit tuples x of length `num_bits` with x . mask = sign (mod 2)
     for every (mask, sign) in `checks`. A mask packs a tuple big-endian:
-    entry i of the tuple is bit num_bits-1-i, as in a dense basis index."""
+    entry i of the tuple is bit num_bits-1-i, as in a dense basis index.
+    It holds 2^dim tuples; past dim 62, `len()` overflows."""
 
     def __init__(self, num_bits: int, checks):
         self.num_bits = num_bits
         self.checks = _reduced(checks)
+        self.dim = num_bits - len(self.checks)
 
     def __contains__(self, outcome):
         try:
@@ -46,7 +48,7 @@ class AffineSupport(Set):
         return True
 
     def __len__(self):
-        return 1 << (self.num_bits - len(self.checks))
+        return 1 << self.dim
 
     def __iter__(self):
         """Gray-code order: start from the solution whose free bits are all

@@ -1,4 +1,5 @@
-"""Exact dense statevector engine.
+"""Exact dense statevector engine: the reference the tests compare the
+arena and the stabilizer tableau against, capped at DEFAULT_MAX_QUBITS.
 
 Gate set: the kinds in `GATES` (H, CNOT and the phase gates S, S_POWER, CZ
 and CS). Qubit q corresponds to axis q of the amplitude tensor reshaped to
@@ -163,14 +164,6 @@ def run_gates(n: int, gates) -> StateVector:
     for gate in gates:
         state = apply_gate(state, gate)
     return state
-
-
-def build_graph_state(topology: Topology) -> StateVector:
-    """The graph state of the topology, qubits in `graph_state_gates`
-    order."""
-    if topology.num_nodes < 1:
-        raise ValueError("graph state needs at least one node")
-    return run_gates(topology.num_nodes, graph_state_gates(topology))
 
 
 def _outcomes(indices: np.ndarray, n: int):

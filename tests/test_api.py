@@ -20,6 +20,10 @@ TEST_ONLY = {
     "cnot": "gate constructor; the dense-engine tests build CNOTs with it",
     "cs": "gate constructor; the dense-engine tests build CS gates with it",
     "neighborhood": "the radius-T ball; the locality criterion flips inputs outside it",
+    "run_gates": "dense reference the tests compare the arena and the tableau against",
+    "exact_distribution": "dense reference the tests compare the arena and the tableau against",
+    "fidelity": "dense reference the tests compare the arena and the tableau against",
+    "dense_state": "dense reference the tests compare the arena and the tableau against",
 }
 
 

@@ -79,6 +79,16 @@ def test_k_copies_beyond_the_dense_cap(capsys):
     assert record["ok"] is True
 
 
+def test_tv_adversary_beyond_the_gamma_cap(capsys):
+    # the search reads Γ's point probabilities from the supports, so only
+    # T <= d/4 bounds d
+    assert main(["--experiment", "tv-adversary", "--d", "32", "--T", "8",
+                 "--format", "records"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["d"], record["T"]) == (32, 8)
+    assert record["ok"] is True
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["--experiment", "nope"])

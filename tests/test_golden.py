@@ -1,10 +1,10 @@
 """CLI reports pinned byte for byte.
 
 The files under tests/golden/ hold the reports of these invocations, in both
-formats, and pin floats such as a minimum fidelity one ulp below 1, so a
-refactor of the engines has to keep their arithmetic as well as their
-verdicts. To regenerate one, run the invocation with `--format FMT --out
-tests/golden/NAME.FMT`.
+formats, and pin floats such as the adversary's minimum TV to the last
+digit, so a refactor of the engines has to keep their arithmetic as well as
+their verdicts. To regenerate one, run the invocation with
+`--format FMT --out tests/golden/NAME.FMT`.
 """
 from pathlib import Path
 

@@ -15,32 +15,87 @@ from qlocal.protocols import (
     affine_strategy_programs,
     all_affine_strategies,
     derandomize_function_protocol,
-    process_pd,
+    process_gates,
     relation_inputs,
     relation_protocol_programs,
     sampling_protocol_programs,
 )
-from qlocal.statevector import exact_distribution
+from qlocal.statevector import (
+    StateVector,
+    exact_distribution,
+    fidelity,
+    graph_state_gates,
+    run_gates,
+)
 from qlocal.topology import Topology, build_script_gd, disjoint_copies, input_nodes
 
 TRIANGLE = Topology(range(3), [(0, 1), (1, 2), (2, 0)])
 
 
+def _dense_fidelity(topology, assignment, program=GraphStateProgram):
+    """The built state, read out of the arena densely, against the graph
+    state of the kept edges built centrally by the dense engine."""
+    programs = {u: program(assignment[u]) for u in topology.nodes}
+    result = run(topology, programs, rounds=2)
+    n = topology.num_nodes
+    built = result.arena.dense_state([programs[u].qubit for u in topology.nodes])
+    kept = Topology(
+        topology.nodes,
+        [e for e in topology.edges if all(assignment[u] for u in e)],
+        allow_disconnected=True,
+    )
+    return fidelity(run_gates(n, graph_state_gates(kept)), StateVector(n, built))
+
+
+def _triangle_fidelity(assignment):
+    """The arena's fidelity, checked against the dense one."""
+    fid, msg_rounds = subgraph_fidelity_case(TRIANGLE, assignment)
+    assert fid == pytest.approx(_dense_fidelity(TRIANGLE, assignment), abs=1e-12)
+    return fid, msg_rounds
+
+
 def test_full_selection_builds_the_graph_state():
-    fid, msg_rounds = subgraph_fidelity_case(TRIANGLE, {0: 1, 1: 1, 2: 1})
+    fid, msg_rounds = _triangle_fidelity({0: 1, 1: 1, 2: 1})
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert msg_rounds == 2
 
 
 def test_partial_selection_builds_induced_subgraph_state():
     # only the 0-1 edge survives; node 2 must end in |+>
-    fid, _ = subgraph_fidelity_case(TRIANGLE, {0: 1, 1: 1, 2: 0})
+    fid, _ = _triangle_fidelity({0: 1, 1: 1, 2: 0})
     assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_no_selection_leaves_product_of_plus_states():
-    fid, _ = subgraph_fidelity_case(TRIANGLE, {0: 0, 1: 0, 2: 0})
+    fid, _ = _triangle_fidelity({0: 0, 1: 0, 2: 0})
     assert fid == pytest.approx(1.0, abs=1e-12)
+
+
+def test_subgraph_fidelity_equals_the_dense_fidelity_on_every_d2_assignment():
+    g2 = build_script_gd(2)
+    for bits in itertools.product((0, 1), repeat=g2.num_nodes):
+        assignment = dict(zip(g2.nodes, bits))
+        fid, _ = subgraph_fidelity_case(g2, assignment)
+        dense = _dense_fidelity(g2, assignment)
+        assert fid == pytest.approx(dense, abs=1e-12), bits
+
+
+class _PhaseSlip(GraphStateProgram):
+    """Builds its share, then applies a stray S to its own qubit."""
+
+    def _after_disentangle(self):
+        self.ctx.apply("S", self.qubit)
+
+
+def test_subgraph_fidelity_sees_a_wrong_state(monkeypatch):
+    # S = ((1+i) I + (1-i) Z) / 2, and no Z string stabilizes a graph state,
+    # so a stray S on each of the 3 qubits leaves fidelity |(1+i)/2|^6 = 1/8
+    monkeypatch.setattr("qlocal.cli.GraphStateProgram", _PhaseSlip)
+    for assignment in ({0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 0}, {0: 0, 1: 0, 2: 0}):
+        fid, _ = subgraph_fidelity_case(TRIANGLE, assignment)
+        dense = _dense_fidelity(TRIANGLE, assignment, _PhaseSlip)
+        assert fid == pytest.approx(dense, abs=1e-12)
+        assert fid == pytest.approx(1 / 8, abs=1e-12)
 
 
 def test_indicator_from_inputs():
@@ -72,7 +127,7 @@ def test_relation_protocol_outputs_follow_process_law():
                 assert all(out == b"" for out in record[3 * d:])
                 x = tuple(record[i][0] for i in range(3 * d))
                 law[x] = law.get(x, 0.0) + p
-            reference = exact_distribution(process_pd(d, b))
+            reference = exact_distribution(run_gates(3 * d, process_gates(d, b)))
             got = OutcomeDistribution(law, reference.space)
             assert tv_distance(got, reference) <= 1e-12, (d, b)
 
@@ -148,8 +203,8 @@ def test_sampling_programs_declare_one_bit_at_inputs():
     assert programs[0].randomness_bits == 0
 
 
-def test_process_pd_normalized():
-    state = process_pd(2, (1, 1, 1))
+def test_process_gates_keep_the_norm():
+    state = run_gates(6, process_gates(2, (1, 1, 1)))
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 

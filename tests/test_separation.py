@@ -1,14 +1,21 @@
+import itertools
+
 import pytest
 
 from qlocal.distributions import marginal, tv_distance
 from qlocal.network import empirical_distribution
-from qlocal.protocols import AffineStrategy, sampling_protocol_programs
+from qlocal.protocols import (
+    AffineStrategy,
+    process_gates,
+    sampling_protocol_programs,
+)
 from qlocal.separation import (
     adversary_gamma_law,
     exact_gamma,
     min_tv_affine_adversary,
     sampling_exact_law,
 )
+from qlocal.statevector import exact_distribution, run_gates
 from qlocal.topology import build_script_gd
 from qlocal.verify import enumerate_support
 
@@ -36,6 +43,19 @@ def test_gamma_has_no_rounding_noise_entries(d, entries):
     # exactly the support: 2^(3d-1) strings for each odd-weight triple and
     # 2^(3d-2) for each even-weight one
     assert len(exact_gamma(d)) == entries
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_gamma_equals_the_dense_process_law(d):
+    dense = {}
+    for b in itertools.product((0, 1), repeat=3):
+        law = exact_distribution(run_gates(3 * d, process_gates(d, b)))
+        for x, p in law.items():
+            dense[(b, x)] = p / 8
+    gamma = exact_gamma(d)
+    assert set(gamma.entries) == set(dense)
+    for key, p in dense.items():
+        assert gamma.probability(key) == pytest.approx(p, abs=1e-12)
 
 
 def test_cross_oracle_identity_at_d2():
@@ -96,3 +116,10 @@ def test_min_tv_beats_eleven_at_d4():
     # the adversary's own law really is at that distance
     law = adversary_gamma_law(4, witness.strategy, witness.biases)
     assert tv_distance(law, exact_gamma(4)) == pytest.approx(tv, abs=1e-12)
+
+
+def test_min_tv_at_d6_is_unchanged():
+    tv, witness = min_tv_affine_adversary(6, 1)
+    assert tv == 0.9999904632568357
+    assert witness.biases == (2 / 11, 5 / 22, 5 / 11)
+    assert witness.strategy.even == (0, 0, 0, 0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlocal.errors import NonCliffordError
-from qlocal.protocols import process_pd
+from qlocal.protocols import process_gates
 from qlocal.stabilizer import AffineSupport, Tableau, circuit_support
 from qlocal.statevector import (
     PRUNE_TOL,
@@ -44,7 +44,7 @@ def test_tableau_support_equals_the_dense_support(d):
     # the same size, so they are equal
     for b in TRIPLES:
         support = enumerate_support(d, b)
-        bits = _dense_bits(process_pd(d, b))
+        bits = _dense_bits(run_gates(3 * d, process_gates(d, b)))
         checks, signs = _check_matrix(support)
         assert np.array_equal((bits @ checks.T) % 2, np.broadcast_to(signs, (len(bits), len(signs))))
         assert len(bits) == len(support)
@@ -57,8 +57,9 @@ def test_support_codimension_beyond_the_dense_cap(d):
         support = enumerate_support(d, b)
         assert support.num_bits == 3 * d
         assert len(support.checks) == 2 - sum(b) % 2
+        assert support.dim == 3 * d - 2 + sum(b) % 2
         if d <= 16:
-            assert len(support) == 2 ** (3 * d - 2 + sum(b) % 2)
+            assert len(support) == 2**support.dim
 
 
 def test_iteration_yields_each_member_once():

@@ -11,14 +11,15 @@ from qlocal.statevector import (
     Gate,
     StateVector,
     apply_gate,
-    build_graph_state,
     cnot,
     cs,
     cz,
     exact_distribution,
     fidelity,
+    graph_state_gates,
     h,
     new_state,
+    run_gates,
     s,
     s_power,
 )
@@ -139,18 +140,18 @@ def test_gate_rejects_exponent(kind, exponent):
 def test_path_graph_state_amplitudes():
     # two nodes, one edge: (|00> + |01> + |10> - |11>) / 2
     topo = Topology([0, 1], [(0, 1)])
-    state = build_graph_state(topo)
+    state = run_gates(2, graph_state_gates(topo))
     assert np.allclose(state.amplitudes, [0.5, 0.5, 0.5, -0.5])
 
 
 def test_graph_state_has_full_support():
     topo = Topology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert len(exact_distribution(build_graph_state(topo)).entries) == 16
+    assert len(exact_distribution(run_gates(4, graph_state_gates(topo))).entries) == 16
 
 
 def test_exact_distribution_normalizes():
     topo = Topology(range(3), [(0, 1), (1, 2)])
-    dist = exact_distribution(build_graph_state(topo))
+    dist = exact_distribution(run_gates(3, graph_state_gates(topo)))
     assert abs(sum(dist.entries.values()) - 1.0) < 1e-12
 
 
