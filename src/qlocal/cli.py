@@ -105,7 +105,7 @@ def subgraph_fidelity_case(topology: Topology, assignment: dict):
         arena.apply(owner, 2, "H", [q])
     keys, probs = arena.distribution_over(list(qubit.values()))
     fid = float(probs[keys == 0].sum())
-    return fid, result.trace.message_rounds()
+    return fid, result.message_rounds
 
 
 def _subgraph_fidelity(d, shots, seed):

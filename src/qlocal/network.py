@@ -5,7 +5,8 @@ A T-round execution calls each node program's `round` method T+1 times
 sending anything in the final call is an error, since there is no round
 left to deliver it. Quantum messages are realized as qubit-ownership
 transfer inside one global arena, so locality is mechanically enforced:
-a program can only touch qubits its node currently owns.
+a program can only touch qubits its node currently owns, and at the
+terminal measurement it learns the outcomes of the qubits it owns then.
 
 All randomness is finite and handed out at init: a program declares
 `randomness_bits` and receives that many bits, derived deterministically
@@ -105,10 +106,6 @@ class QuantumArena:
         self._next_qid = 0
         self._next_slot = 0
 
-    def owner_of(self, qid):
-        """The owning node, or None for a qubit that is not live."""
-        return self._owner.get(qid)
-
     def create(self, owner) -> int:
         if self._free_slots:
             slot = self._free_slots.pop()
@@ -126,8 +123,10 @@ class QuantumArena:
         return qid
 
     def _check_owned(self, node, round_index, qids):
+        """The one locality check: gates, discards, flags, sends and the
+        terminal measurement all go through it."""
         for qid in qids:
-            if self.owner_of(qid) != node:
+            if self._owner.get(qid) != node:
                 raise LocalityError(node, round_index, qid)
 
     def apply(self, node, round_index, kind, qids, exponent=1):
@@ -204,35 +203,14 @@ class NodeContext:
 
     def measure(self, qubit):
         """Flag a qubit for the terminal computational-basis measurement."""
-        arena = self._quantum()
-        if arena.owner_of(qubit) != self.self_id:
-            raise LocalityError(self.self_id, self._round, qubit)
+        self._quantum()._check_owned(self.self_id, self._round, [qubit])
         self._measure_flags.append(qubit)
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    round_index: int
-    sender: object
-    receiver: object
-    payload_len: int
-    qubits: tuple
-
-
-@dataclass
-class ExecutionTrace:
-    rounds: int
-    messages: list
-    outputs: dict
-
-    def message_rounds(self) -> int:
-        return len({m.round_index for m in self.messages})
 
 
 @dataclass
 class ExecutionResult:
     outputs: dict
-    trace: ExecutionTrace
+    message_rounds: int  # round calls in which some node sent a message
     arena: QuantumArena
 
 
@@ -256,7 +234,8 @@ def _execute_rounds(
     classical_only,
     randomness_overrides,
 ):
-    """Run init plus all round calls; returns (contexts, arena, messages).
+    """Run init plus all round calls; returns (contexts, arena, the number
+    of round calls in which some node sent a message).
 
     A node listed in `randomness_overrides` gets the bits given there in
     place of the ones derived from (seed, node id).
@@ -268,7 +247,7 @@ def _execute_rounds(
     inputs = inputs or {}
     order = list(topology.nodes)
     arena = QuantumArena()
-    trace_messages = []
+    sent_in = set()
     contexts = {}
     for u in order:
         prog = programs[u]
@@ -294,12 +273,14 @@ def _execute_rounds(
         for u in order:
             contexts[u]._round = t
             out = programs[u].round(t, inboxes[u]) or {}
-            if out and t == rounds:
-                raise ProtocolError(
-                    f"node {u!r} sent a message in the final round call; "
-                    f"the execution has no round {t + 1}"
-                )
-            for v, msg in sorted(out.items(), key=lambda kv: repr(kv[0])):
+            if out:
+                if t == rounds:
+                    raise ProtocolError(
+                        f"node {u!r} sent a message in the final round call; "
+                        f"the execution has no round {t + 1}"
+                    )
+                sent_in.add(t)
+            for v, msg in out.items():
                 if v not in topology.neighbors(u):
                     raise ProtocolError(
                         f"node {u!r} addressed non-neighbor {v!r} in round {t}"
@@ -313,23 +294,26 @@ def _execute_rounds(
                         f"node {u!r} sent a message whose payload is not bytes "
                         f"or whose qubits are not a tuple in round {t}"
                     )
+                arena._check_owned(u, t, msg.qubits)
                 for qid in msg.qubits:
-                    if arena.owner_of(qid) != u:
-                        raise LocalityError(u, t, qid)
                     if qid in moves:
                         raise ProtocolError(f"qubit {qid} sent twice in round {t}")
                     moves[qid] = v
                 new_inboxes[v][u] = msg
-                trace_messages.append(
-                    TraceRecord(t, u, v, len(msg.payload), msg.qubits)
-                )
         arena.transfer(moves)
         inboxes = new_inboxes
-    return contexts, arena, trace_messages
+    return contexts, arena, len(sent_in)
 
 
 def _law(contexts, order, arena):
-    """Joint law of every flagged qubit, node by node: (keys, probs)."""
+    """Joint law of every flagged qubit, node by node: (keys, probs).
+
+    Each node must still own every qubit it flagged: once a flagged qubit
+    is sent away, other nodes can act on it, and once discarded it has no
+    outcome.
+    """
+    for u in order:
+        arena._check_owned(u, contexts[u]._round, contexts[u]._measure_flags)
     qids = [q for u in order for q in contexts[u]._measure_flags]
     if not qids:
         return np.zeros(1, dtype=np.int64), np.ones(1)
@@ -383,13 +367,11 @@ def run(
 ) -> ExecutionResult:
     """One full execution: T rounds, one terminal measurement, finalize."""
     order = list(topology.nodes)
-    contexts, arena, messages = _execute_rounds(
+    contexts, arena, message_rounds = _execute_rounds(
         topology, programs, rounds, seed, inputs, classical_only, None
     )
     (record,) = _sample_outputs(programs, contexts, order, arena, seed, 1)
-    outputs = dict(zip(order, record))
-    trace = ExecutionTrace(rounds=rounds, messages=messages, outputs=outputs)
-    return ExecutionResult(outputs, trace, arena)
+    return ExecutionResult(dict(zip(order, record)), message_rounds, arena)
 
 
 def run_sampled(

@@ -100,7 +100,12 @@ class Tableau:
         self.r = np.zeros(n, dtype=np.uint8)
 
     def apply(self, gate):
-        """Apply one `statevector.Gate` to every generator at once."""
+        """Apply one `statevector.Gate` to every generator at once.
+
+        A phase gate is read off its arity and phase: phase 1 is the
+        identity, a 1-qubit phase i is S and a 2-qubit phase -1 is CZ; any
+        other phase gate is not Clifford.
+        """
         for q in gate.targets:
             if not (0 <= q < self.n):
                 raise ValueError(f"target {q} out of range for {self.n} qubits")
@@ -109,18 +114,18 @@ class Tableau:
             (q,) = gate.targets
             r ^= x[:, q] & z[:, q]
             x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
-        elif gate.kind in ("S", "S_POWER"):
-            if gate.phase == 1:  # S to the power 0
-                return
-            (q,) = gate.targets
-            r ^= x[:, q] & z[:, q]
-            z[:, q] ^= x[:, q]
         elif gate.kind == "CNOT":
             a, b = gate.targets
             r ^= x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1)
             x[:, b] ^= x[:, a]
             z[:, a] ^= z[:, b]
-        elif gate.kind == "CZ":
+        elif gate.phase == 1:
+            return
+        elif gate.phase == 1j and len(gate.targets) == 1:
+            (q,) = gate.targets
+            r ^= x[:, q] & z[:, q]
+            z[:, q] ^= x[:, q]
+        elif gate.phase == -1 and len(gate.targets) == 2:
             a, b = gate.targets
             r ^= x[:, a] & x[:, b] & (z[:, a] ^ z[:, b])
             z[:, a] ^= x[:, b]

@@ -38,8 +38,6 @@ class ParityTuple:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    input_bits: tuple
-    outcome: tuple
     in_support: bool
     parity_ok: bool
 
@@ -130,7 +128,7 @@ def is_valid(d: int, b, outcome) -> ValidityReport:
         raise AssertionError(
             "support string fails the parity identities; oracle inconsistency"
         )
-    return ValidityReport(b, outcome, in_support, parity_ok)
+    return ValidityReport(in_support, parity_ok)
 
 
 @dataclass(frozen=True)

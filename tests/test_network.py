@@ -22,6 +22,13 @@ from qlocal.network import (
     run_exact,
     run_sampled,
 )
+from qlocal.protocols import (
+    AffineStrategy,
+    affine_strategy_programs,
+    k_copies_topology,
+    relation_inputs,
+    relation_protocol_programs,
+)
 from qlocal.statevector import (
     GATES,
     Gate,
@@ -29,7 +36,7 @@ from qlocal.statevector import (
     exact_distribution,
     new_state,
 )
-from qlocal.topology import Topology
+from qlocal.topology import Topology, build_script_gd, input_nodes
 
 PATH2 = Topology([0, 1], [(0, 1)])
 
@@ -239,6 +246,65 @@ def test_sending_unowned_qubit_raises():
         run(PATH2, {0: Forwarder(), 1: NodeProgram()}, rounds=2)
 
 
+PATH3 = Topology([0, 1, 2], [(0, 1), (1, 2)])
+
+
+class FlagThenSend(NodeProgram):
+    """Node 0 flags a fresh qubit and sends it to node 1 in round call 0;
+    node 2 sends its input bit to node 1 at the same time. In round call 1
+    node 1 applies X = H S S H to the qubit if that bit is 1, and returns
+    the qubit to node 0 if `give_back`."""
+
+    def __init__(self, give_back):
+        self.give_back = give_back
+
+    def round(self, t, inbox):
+        ctx = self.ctx
+        if t == 0 and ctx.self_id == 0:
+            self.q = ctx.new_qubit()
+            ctx.measure(self.q)
+            return {1: Message(b"", (self.q,))}
+        if t == 0 and ctx.self_id == 2:
+            return {1: Message(ctx.input)}
+        if t == 1 and ctx.self_id == 1:
+            (q,) = inbox[0].qubits
+            if inbox[2].payload == b"\x01":
+                for kind in ("H", "S", "S", "H"):
+                    ctx.apply(kind, q)
+            if self.give_back:
+                return {0: Message(b"", (q,))}
+        return {}
+
+    def finalize(self, measured):
+        return bytes([measured[self.q]]) if self.ctx.self_id == 0 else b""
+
+
+def test_flagged_qubit_sent_away_cannot_be_measured():
+    # Node 0 would read node 2's input, at distance 2 > T = 1.
+    programs = {u: FlagThenSend(give_back=False) for u in PATH3.nodes}
+    with pytest.raises(LocalityError) as err:
+        run(PATH3, programs, rounds=1, inputs={2: b"\x01"})
+    assert err.value.node == 0
+
+
+def test_flagged_qubit_sent_away_and_returned_is_measured():
+    programs = {u: FlagThenSend(give_back=True) for u in PATH3.nodes}
+    result = run(PATH3, programs, rounds=2, inputs={2: b"\x01"})
+    assert result.outputs[0] == b"\x01"
+
+
+def test_flagged_qubit_discarded_cannot_be_measured():
+    class FlagThenDiscard(NodeProgram):
+        def round(self, t, inbox):
+            q = self.ctx.new_qubit()
+            self.ctx.measure(q)
+            self.ctx.discard(q)
+            return {}
+
+    with pytest.raises(LocalityError):
+        run(PATH2, {0: FlagThenDiscard(), 1: NodeProgram()}, rounds=0)
+
+
 def test_quantum_ops_blocked_in_classical_mode():
     class Quantum(NodeProgram):
         def round(self, t, inbox):
@@ -418,11 +484,85 @@ def test_finalize_runs_once_per_value_of_the_node_bits():
     assert per_node[1] == 1
 
 
-def test_trace_is_deterministic():
+def test_message_rounds_counts_the_round_calls_that_send():
+    class SendsIn0And2(NodeProgram):
+        def round(self, t, inbox):
+            if self.ctx.self_id == 0 and t in (0, 2):
+                return {1: Message(b"x")}
+            return {}
+
+    result = run(PATH2, {0: SendsIn0And2(), 1: SendsIn0And2()}, rounds=3)
+    assert result.message_rounds == 2
+
+
+def test_message_rounds_is_zero_without_messages():
+    result = run(PATH2, {0: NodeProgram(), 1: NodeProgram()}, rounds=2)
+    assert result.message_rounds == 0
+
+
+def test_runs_with_the_same_seed_are_equal():
     a = run(PATH2, {0: Echo(), 1: Echo()}, rounds=1, seed=9)
     b = run(PATH2, {0: Echo(), 1: Echo()}, rounds=1, seed=9)
-    assert a.trace == b.trace
-    assert a.trace.message_rounds() == 1
+    assert (a.outputs, a.message_rounds) == (b.outputs, b.message_rounds)
+    assert a.message_rounds == 1
+
+
+class ReversedOutbox(NodeProgram):
+    """Runs another program but returns each outbox in reverse order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.randomness_bits = inner.randomness_bits
+
+    def init(self, ctx):
+        self.inner.init(ctx)
+
+    def round(self, t, inbox):
+        out = self.inner.round(t, inbox) or {}
+        return dict(reversed(out.items()))
+
+    def finalize(self, measured):
+        return self.inner.finalize(measured)
+
+
+def _reversed(programs):
+    return {u: ReversedOutbox(p) for u, p in programs.items()}
+
+
+def _unchanged(programs):
+    return programs
+
+
+def test_outbox_order_leaves_results_unchanged():
+    d, b = 2, (1, 0, 1)
+
+    def relation_records(wrap):
+        return run_sampled(
+            build_script_gd(d), wrap(relation_protocol_programs(d)),
+            rounds=2, shots=50, seed=11, inputs=relation_inputs(d, b),
+        )
+
+    assert relation_records(_reversed) == relation_records(_unchanged)
+
+    d, k = 4, 2
+    # Nonconstant terms on every side, so outputs read relayed input bits.
+    strategy = AffineStrategy((0, 1, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1))
+    inputs = {
+        (c, w): bytes([bit])
+        for c, b in enumerate([(0, 1, 1), (1, 1, 0)])
+        for w, bit in zip(input_nodes(d), b)
+    }
+
+    def k_copies_outputs(wrap):
+        programs = {
+            (c, u): p
+            for c in range(k)
+            for u, p in wrap(affine_strategy_programs(d, strategy, 2)).items()
+        }
+        return run(k_copies_topology(d, k), programs, rounds=2,
+                   inputs=inputs, classical_only=True).outputs
+
+    assert k_copies_outputs(_reversed) == k_copies_outputs(_unchanged)
 
 
 def test_node_randomness_is_stable_and_seed_dependent():
