@@ -28,7 +28,7 @@ from .errors import (
     ProtocolError,
     ResourceLimitError,
 )
-from .sparse import MAX_SLOTS, SparseState
+from .sparse import PathSum
 from .statevector import Gate
 from .topology import Topology
 
@@ -96,29 +96,16 @@ class NodeProgram:
 
 
 class QuantumArena:
-    """One global sparse statevector plus a qubit-ownership map."""
+    """One global path-sum state plus a qubit-ownership map."""
 
     def __init__(self):
-        self.state = SparseState()
-        self._slot = {}
+        self.state = PathSum()
         self._owner = {}
-        self._free_slots = []
-        self._next_qid = 0
-        self._next_slot = 0
+        self._qids = itertools.count()
 
     def create(self, owner) -> int:
-        if self._free_slots:
-            slot = self._free_slots.pop()
-        else:
-            if self._next_slot >= MAX_SLOTS:
-                raise ResourceLimitError(
-                    f"arena qubit limit of {MAX_SLOTS} reached"
-                )
-            slot = self._next_slot
-            self._next_slot += 1
-        qid = self._next_qid
-        self._next_qid += 1
-        self._slot[qid] = slot
+        qid = next(self._qids)
+        self.state.add(qid)
         self._owner[qid] = owner
         return qid
 
@@ -131,36 +118,23 @@ class QuantumArena:
 
     def apply(self, node, round_index, kind, qids, exponent=1):
         self._check_owned(node, round_index, qids)
-        gate = Gate(kind, qids, exponent)
-        slots = [self._slot[q] for q in gate.targets]
-        if gate.kind == "H":
-            self.state.apply_h(slots[0])
-        elif gate.kind == "CNOT":
-            self.state.apply_cnot(slots[0], slots[1])
-        elif gate.phase != 1:  # S_POWER with exponent 0 is the identity
-            self.state.apply_phase(slots, gate.phase)
+        self.state.apply(Gate(kind, qids, exponent))
 
     def discard(self, node, round_index, qid):
         self._check_owned(node, round_index, [qid])
-        slot = self._slot[qid]
-        self.state.remove_product_qubit(slot)
-        del self._slot[qid]
+        self.state.discard(qid)
         del self._owner[qid]
-        self._free_slots.append(slot)
 
     def transfer(self, moves):
         """Hand each qubit of `moves` ({qid: node}) to its new owner."""
         self._owner.update(moves)
 
     def distribution_over(self, qids):
-        slots = [self._slot[q] for q in qids]
-        return self.state.distribution_over(slots)
+        return self.state.distribution_over(qids)
 
     def dense_state(self, qid_order) -> np.ndarray:
         """Dense statevector over all live qubits, in the given order."""
-        if sorted(qid_order) != sorted(self._slot):
-            raise ValueError("qid_order must cover exactly the live qubits")
-        return self.state.dense_vector([self._slot[q] for q in qid_order])
+        return self.state.dense_vector(qid_order)
 
 
 class NodeContext:

@@ -50,9 +50,10 @@ class AffineSupport(Set):
     def __len__(self):
         return 1 << self.dim
 
-    def __iter__(self):
-        """Gray-code order: start from the solution whose free bits are all
-        0, then add one solution of the homogeneous checks per step."""
+    def origin_and_basis(self):
+        """(x0, basis) as packed masks: the set is x0 xor every subset sum
+        of basis. x0 has every free bit 0, and entry i's lowest set bit is
+        the i-th lowest free bit, which no other entry sets."""
         leads = {1 << (m.bit_length() - 1): (m, s) for m, s in self.checks}
         x = sum(lead for lead, (_, s) in leads.items() if s)
         basis = [
@@ -60,6 +61,11 @@ class AffineSupport(Set):
             for free in (1 << i for i in range(self.num_bits))
             if free not in leads
         ]
+        return x, basis
+
+    def __iter__(self):
+        """Gray-code order: x0, then one basis entry added per step."""
+        x, basis = self.origin_and_basis()
         width = f"0{self.num_bits}b"
         yield tuple(format(x, width).encode().translate(_TO_BITS))
         for m in range(1, 1 << len(basis)):

@@ -16,8 +16,8 @@ from .errors import ResourceLimitError
 from .topology import Topology
 
 DEFAULT_MAX_QUBITS = 26
-# An amplitude within PRUNE_TOL of zero is rounding noise: the arena drops
-# its row, and the exact law drops its entry.
+# An amplitude within PRUNE_TOL of zero is rounding noise; the exact law
+# drops its entry.
 PRUNE_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

@@ -17,7 +17,6 @@ TEST_ONLY = {
     "adversary_gamma_law": "one adversary's law; checks the TV search's witness distance",
     "empirical_distribution": "sampled law; checks exact_gamma and the randomness branches",
     "GraphStateSampleProgram": "measured graph state; the locality criterion runs it",
-    "cnot": "gate constructor; the dense-engine tests build CNOTs with it",
     "cs": "gate constructor; the dense-engine tests build CS gates with it",
     "neighborhood": "the radius-T ball; the locality criterion flips inputs outside it",
     "run_gates": "dense reference the tests compare the arena and the tableau against",

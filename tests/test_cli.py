@@ -57,16 +57,35 @@ def test_odd_d_is_usage_error():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("experiment", ["relation-validity",
-                                        "subgraph-fidelity"])
-def test_simulation_error_is_usage_error(experiment, capsys):
-    # d=8 needs more than the arena's 63 qubit slots at once
+@pytest.mark.parametrize(
+    "experiment,d,message",
+    [
+        # the d=10 law has 2^28 outcomes
+        ("relation-validity", "10",
+         "2^28 outcomes exceed the enumeration cap of 2^23"),
+        # 69 node qubits do not fit an int64 key
+        ("subgraph-fidelity", "22",
+         "too many qubits for joint distribution keys"),
+    ],
+    ids=["relation-validity", "subgraph-fidelity"],
+)
+def test_simulation_error_is_usage_error(experiment, d, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--experiment", experiment, "--d", "8", "--shots", "1"])
+        main(["--experiment", experiment, "--d", d, "--shots", "1"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "arena qubit limit of 63 reached" in err
+    assert err.splitlines()[-1].endswith(message)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--experiment", "relation-validity", "--d", "8", "--shots", "10"],
+    ["--experiment", "subgraph-fidelity", "--d", "16", "--shots", "5"],
+])
+def test_runs_holding_more_than_63_qubits(args, capsys):
+    # each run holds more than 63 live qubits at once
+    assert main(args + ["--format", "records"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_k_copies_beyond_the_dense_cap(capsys):

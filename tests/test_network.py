@@ -1,5 +1,5 @@
 """Engine semantics: round timing, locality enforcement, reproducibility,
-gate validation, and agreement of the sparse arena with the dense engine."""
+gate validation, and agreement of the arena with the dense engine."""
 import numpy as np
 import pytest
 from hypothesis import given, settings

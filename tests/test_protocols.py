@@ -141,8 +141,8 @@ def test_relation_input_nodes_hold_no_qubits(d, b):
     ring_qubits = [programs[u].qubit for u in range(3 * d)]
     # raises unless the ring qubits are exactly the live ones
     result.arena.dense_state(ring_qubits)
-    rows = 2 ** (3 * d - 1) if sum(b) % 2 else 2 ** (3 * d - 2)
-    assert result.arena.state.support_size == rows
+    keys, _ = result.arena.distribution_over(ring_qubits)
+    assert len(keys) == (2 ** (3 * d - 1) if sum(b) % 2 else 2 ** (3 * d - 2))
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -150,6 +150,23 @@ def test_sampling_input_nodes_hold_no_qubits(d):
     programs = sampling_protocol_programs(d)
     result = run(build_script_gd(d), programs, rounds=2, seed=3)
     result.arena.dense_state([programs[u].qubit for u in range(3 * d)])
+
+
+class _KeepsRelaysEntangled(GraphStateProgram):
+    """Discards its returned relays without the disentangling CNOT."""
+
+    def round(self, t, inbox):
+        if t != 2:
+            return super().round(t, inbox)
+        for relay in self._relays.values():
+            self.ctx.discard(relay)
+        return {}
+
+
+def test_discarding_an_entangled_relay_raises():
+    programs = {u: _KeepsRelaysEntangled(1) for u in TRIANGLE.nodes}
+    with pytest.raises(EntangledDisposalError):
+        run(TRIANGLE, programs, rounds=2)
 
 
 @pytest.mark.parametrize("input_program", [GraphStateProgram, NodeProgram])
