@@ -1,6 +1,11 @@
 """The path-sum state against the dense engine: laws on random circuits,
 key bit order, the circuits whose phase bookkeeping is easy to get wrong,
-which discards it accepts, and its enumeration cap."""
+which discards it accepts, and its enumeration cap; and H, which sums a
+variable out where it can, against the plain rule that never does, bit for
+bit, on 64-qubit states measured up to the highest key bit."""
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,12 @@ from hypothesis import strategies as st
 from qlocal.errors import EntangledDisposalError, ResourceLimitError
 from qlocal.sparse import MAX_ENUMERATED_BITS, PathSum
 from qlocal.statevector import GATES, Gate, cnot, cs, cz, h, run_gates, s
+
+# 64 live qubits, one more than the old slot arena held. A key holds 62
+# qubits: 0..62 bar one untouched qubit, so qubit 62 (the old top slot) sits
+# at key bit 61, the highest; qubit 63 stays unmeasured.
+NUM_QUBITS = 64
+TOP_SLOT = 62
 
 
 def _path_sum(n, gates) -> PathSum:
@@ -155,3 +166,131 @@ def test_enumeration_over_the_cap_raises(stabilizer):
         gates += [cs(q, q + 1) for q in range(n - 1)]
     with pytest.raises(ResourceLimitError, match=f"2\\^{n} "):
         _path_sum(n, gates).distribution_over(list(range(n)))
+
+
+def reference_h(state, qid):
+    """H by the plain path-sum rule, never summing a variable out: a fresh
+    variable z takes the qubit's form f, and Q gains 2 z [f]."""
+    mask, const = state.forms[qid]
+    z = 1 << state._next_var
+    state._next_var += 1
+    state._add_product(2, [(z, 0), (mask, const)])
+    state.forms[qid] = (z, 0)
+
+
+def random_circuit(rng, case, pos):
+    """Gates on 11 random qubits, the top one unless it is `pos`, and `pos`;
+    and the qubits they touch. All but `pos` get H, then random CNOTs, CZs
+    and S among them; their forms stay independent, and the top one, never
+    a CNOT target, keeps its own variable. `case` says what `pos` holds when
+    its H comes: "fresh" a constant; "paired" a lone variable, with either
+    constant, that Q holds only through CZs with some of the 12 and Z,
+    which H sums out; "partial" a variable that a CNOT copied or an S made
+    odd, which it cannot."""
+    others = [q for q in range(TOP_SLOT) if q != pos]
+    qubits = [int(q) for q in rng.choice(others, size=11, replace=False)]
+    if pos != TOP_SLOT:
+        qubits.append(TOP_SLOT)
+    gates = [h(q) for q in qubits]
+    for _ in range(30):
+        a, b = (int(q) for q in rng.choice(qubits, size=2, replace=False))
+        kind = rng.integers(3)
+        if kind == 0 and b != TOP_SLOT:
+            gates.append(cnot(a, b))
+        elif kind == 1:
+            gates.append(cz(a, b))
+        else:
+            gates.append(s(a))
+    gates += [h(pos), s(pos), s(pos), h(pos)] * int(rng.integers(2))  # X
+    if case != "fresh":
+        gates.append(h(pos))
+        partners = rng.choice(qubits, size=rng.integers(1, 5), replace=False)
+        gates += [cz(pos, int(q)) for q in partners]
+        gates += [s(pos), s(pos)] * int(rng.integers(2))  # Z
+        if rng.integers(2):  # a CNOT from a |1> qubit gives the form constant 1
+            one = int(rng.choice([q for q in others if q not in qubits]))
+            gates += [h(one), s(one), s(one), h(one), cnot(one, pos)]
+            qubits.append(one)
+    if case == "partial":
+        spoil = rng.integers(3)  # a CNOT, an S, or both
+        if spoil != 1:
+            target = rng.choice([q for q in qubits if q != TOP_SLOT])
+            gates.append(cnot(pos, int(target)))
+        if spoil != 0:
+            gates.append(s(pos))
+    return gates, qubits + [pos]
+
+
+@pytest.mark.parametrize("case", ["fresh", "paired", "partial"])
+@pytest.mark.parametrize("pos", [0, 1, 31, 61, TOP_SLOT])
+@pytest.mark.parametrize("seed", range(4))
+def test_h_matches_reference_bit_for_bit(case, pos, seed):
+    rng = np.random.default_rng([seed, pos, len(case)])
+    gates, touched = random_circuit(rng, case, pos)
+    state = _path_sum(NUM_QUBITS, gates)
+    reference = copy.deepcopy(state)
+    variables = state._next_var
+    state.apply(h(pos))
+    assert (state._next_var == variables) == (case == "paired")
+    reference_h(reference, pos)
+    spare = next(q for q in range(TOP_SLOT) if q not in touched)
+    qids = [q for q in range(TOP_SLOT + 1) if q != spare]
+    got_keys, got_probs = state.distribution_over(qids)
+    want_keys, want_probs = reference.distribution_over(qids)
+    assert np.any(got_keys >> (len(qids) - 1))
+    assert np.array_equal(got_keys, want_keys)
+    assert np.array_equal(got_probs.view(np.uint64), want_probs.view(np.uint64))
+    # The amplitudes, phases included, once the untouched |0> qubits are
+    # discarded: against the reference and the dense engine.
+    for q in range(NUM_QUBITS):
+        if q not in touched:
+            state.discard(q)
+            reference.discard(q)
+    local = {q: i for i, q in enumerate(touched)}
+    dense = [replace(g, targets=[local[q] for q in g.targets])
+             for g in gates + [h(pos)]]
+    got = state.dense_vector(touched)
+    assert np.allclose(got, reference.dense_vector(touched), rtol=0, atol=1e-12)
+    assert np.allclose(got, run_gates(len(touched), dense).amplitudes,
+                       rtol=0, atol=1e-12)
+
+
+def test_h_twice_at_the_top_slot_returns_to_zero():
+    state = _path_sum(TOP_SLOT + 1, [h(TOP_SLOT)])
+    assert state.distribution_over([TOP_SLOT])[0].tolist() == [0, 1]
+    state.apply(h(TOP_SLOT))
+    assert state.forms[TOP_SLOT] == (0, 0)
+    assert not state.q
+    keys, probs = state.distribution_over([TOP_SLOT])
+    assert keys.tolist() == [0]
+    assert probs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_keys_match_the_per_bit_reference(seed):
+    # 8 variables spread by random CNOTs and flipped by X (H S S H) over 64
+    # qubits; 40 qubits measured in random order, so bits move both ways.
+    # The reference tracks each qubit's form as a variable mask and a
+    # constant, and reads key bit j off qubit positions[j] on every path.
+    rng = np.random.default_rng(seed)
+    masks = [1 << q if q < 8 else 0 for q in range(NUM_QUBITS)]
+    consts = [0] * NUM_QUBITS
+    gates = [h(q) for q in range(8)]
+    for _ in range(100):
+        a, b = (int(q) for q in rng.choice(NUM_QUBITS, size=2, replace=False))
+        if rng.integers(4):
+            gates.append(cnot(a, b))
+            masks[b] ^= masks[a]
+            consts[b] ^= consts[a]
+        else:
+            gates += [h(a), s(a), s(a), h(a)]
+            consts[a] ^= 1
+    positions = [int(p) for p in rng.permutation(NUM_QUBITS)[:40]]
+    want = {
+        sum((((masks[p] & y).bit_count() + consts[p]) & 1) << j
+            for j, p in enumerate(positions))
+        for y in range(2**8)
+    }
+    keys, probs = _path_sum(NUM_QUBITS, gates).distribution_over(positions)
+    assert keys.tolist() == sorted(want)
+    assert np.all(probs == 1 / len(want))
