@@ -48,7 +48,8 @@ def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     if p.space != q.space:
         raise ValueError(f"mismatched outcome spaces: {p.space!r} vs {q.space!r}")
     keys = set(p.entries) | set(q.entries)
-    return 0.5 * sum(abs(p.probability(k) - q.probability(k)) for k in keys)
+    p_get, q_get = p.entries.get, q.entries.get
+    return 0.5 * sum(abs(p_get(k, 0.0) - q_get(k, 0.0)) for k in keys)
 
 
 def _coordinate_getter(space, coordinate):

@@ -327,7 +327,10 @@ def _sample_outputs(programs, contexts, order, arena, seed, shots) -> list:
     if len(keys) == 1:  # a sure outcome needs no draw
         return _finalize_all(programs, contexts, order, keys) * shots
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(keys), p=probs, size=shots)
+    if probs.min() == probs.max():  # a uniform law, as every stabilizer law is
+        picks = rng.integers(len(keys), size=shots)
+    else:
+        picks = rng.choice(len(keys), p=probs, size=shots)
     return _finalize_all(programs, contexts, order, keys[picks])
 
 

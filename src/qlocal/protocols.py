@@ -435,8 +435,11 @@ def affine_strategy_programs(d: int, strategy: AffineStrategy, rounds: int) -> d
 
 def affine_output_string(d: int, strategy: AffineStrategy, b) -> tuple:
     """The full 3d-bit string the strategy's protocol outputs on input b."""
-    b = _check_bits(b)
-    carriers = affine_carrier_terms(d, strategy)
+    return _carrier_output_string(d, affine_carrier_terms(d, strategy), _check_bits(b))
+
+
+def _carrier_output_string(d: int, carriers: dict, b: tuple) -> tuple:
+    """The 3d-bit output string of `affine_carrier_terms` on checked bits b."""
     bits = [0] * (3 * d)
     for node, (const, coeffs) in carriers.items():
         bit = const

@@ -19,6 +19,7 @@ from .distributions import OutcomeDistribution
 from .network import run_exact
 from .protocols import (
     AffineStrategy,
+    _carrier_output_string,
     affine_carrier_terms,
     affine_output_string,
     all_affine_strategies,
@@ -63,10 +64,13 @@ def sampling_exact_law(d: int) -> OutcomeDistribution:
     )
     entries = {}
     for record, p in raw.items():
-        # node order is 0..3d-1 then the three input nodes
-        x = tuple(record[i][0] for i in range(3 * d))
-        b = tuple(record[3 * d + i][0] for i in range(3))
-        entries[(b, x)] = entries.get((b, x), 0.0) + p
+        # node order is 0..3d-1 then the three input nodes, one byte each:
+        # the outputs are at least one byte and n of them join to n bytes
+        row = b"".join(record)
+        if len(row) != len(record) or min(map(len, record)) != 1:
+            raise ValueError(f"sampling outputs must be one byte each, got {record!r}")
+        key = (tuple(row[3 * d:]), tuple(row[:3 * d]))
+        entries[key] = entries.get(key, 0.0) + p
     return OutcomeDistribution(entries, space=gamma_space(d))
 
 
@@ -97,19 +101,17 @@ class AdversaryWitness:
 
 
 def _visible_strategies(d: int, radius: int):
-    """Strategies whose every nonconstant term sits on a node within the
-    given ring distance of the corner holding that input bit."""
+    """(strategy, carrier terms) for the strategies whose every nonconstant
+    term sits on a node within the given ring distance of the corner holding
+    that input bit."""
     for strategy in all_affine_strategies():
-        ok = True
-        for node, (_, coeffs) in affine_carrier_terms(d, strategy).items():
-            for origin in coeffs:
-                if ring_distance(d, node, d * origin) > radius:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield strategy
+        carriers = affine_carrier_terms(d, strategy)
+        if all(
+            ring_distance(d, node, d * origin) <= radius
+            for node, (_, coeffs) in carriers.items()
+            for origin in coeffs
+        ):
+            yield strategy, carriers
 
 
 def _bias_grid():
@@ -125,7 +127,11 @@ def min_tv_affine_adversary(d: int, T: int):
     grid, and the outcome string is an admissible affine strategy whose
     terms only use bits visible within ring distance 2T-1 of their corner.
     Γ's eight point probabilities per strategy come from the supports, so
-    Γ is never built and any even d with T <= d/4 runs.
+    Γ is never built and any even d with T <= d/4 runs. They depend on the
+    strategy only through its hit pattern, which triples b it outputs a
+    string of S_b on, so the bias grid runs once per distinct pattern (at
+    most 256). Strategies are taken in order and a later one replaces the
+    witness only at a strictly smaller distance.
     Returns (min tv, witness).
     """
     if T < 1:
@@ -146,20 +152,22 @@ def min_tv_affine_adversary(d: int, T: int):
         axis=2,
     )
     best = None
-    for strategy in _visible_strategies(d, 2 * T - 1):
-        gamma_hits = np.array(
-            [
-                2.0**-s.dim / 8 if affine_output_string(d, strategy, b) in s else 0.0
-                for b, s in supports
-            ]
+    searched = {}  # hit pattern -> (grid index, tv)
+    for strategy, carriers in _visible_strategies(d, 2 * T - 1):
+        hits = tuple(
+            _carrier_output_string(d, carriers, b) in s for b, s in supports
         )
-        # per bias combo: tv = 1/2 [ sum_b |q_b - gamma_b| + (1 - sum_b gamma_b) ]
-        tvs = 0.5 * (
-            np.abs(q - gamma_hits[None, :]).sum(axis=1) + 1.0 - gamma_hits.sum()
-        )
-        g = int(np.argmin(tvs))
-        if best is None or tvs[g] < best.tv:
-            best = AdversaryWitness(
-                strategy, tuple(float(p) for p in combos[g]), float(tvs[g])
+        if hits not in searched:
+            gamma_hits = np.array(
+                [2.0**-s.dim / 8 if hit else 0.0 for hit, (_, s) in zip(hits, supports)]
             )
+            # per bias combo: tv = 1/2 [ sum_b |q_b - gamma_b| + (1 - sum_b gamma_b) ]
+            tvs = 0.5 * (
+                np.abs(q - gamma_hits[None, :]).sum(axis=1) + 1.0 - gamma_hits.sum()
+            )
+            g = int(np.argmin(tvs))
+            searched[hits] = g, float(tvs[g])
+        g, tv = searched[hits]
+        if best is None or tv < best.tv:
+            best = AdversaryWitness(strategy, tuple(float(p) for p in combos[g]), tv)
     return best.tv, best

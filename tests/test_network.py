@@ -632,3 +632,67 @@ def test_role_of(degree, role):
 def test_role_of_rejects_degree_4():
     with pytest.raises(ProtocolError):
         role_of(LocalView(0, frozenset(range(1, 5)), 10))
+
+
+class TwoQubitLaw(NodeProgram):
+    """Flags two fresh qubits after H on each and then the given gates."""
+
+    def __init__(self, gates):
+        self.gates = gates
+
+    def round(self, t, inbox):
+        self.flags = [self.ctx.new_qubit(), self.ctx.new_qubit()]
+        for kind, targets in self.gates:
+            self.ctx.apply(kind, *(self.flags[j] for j in targets))
+        for q in self.flags:
+            self.ctx.measure(q)
+        return {}
+
+    def finalize(self, measured):
+        return bytes(measured[q] for q in self.flags)
+
+
+def _two_qubit_draws(gates, shots, seed):
+    """(law keys, law probabilities, the key each shot drew)."""
+    arena = QuantumArena()
+    qids = [arena.create(0), arena.create(0)]
+    for kind, targets in [("H", (0,)), ("H", (1,))] + gates:
+        arena.apply(0, 0, kind, [qids[j] for j in targets])
+    keys, probs = arena.distribution_over(qids)
+    topo = Topology([0], [])
+    outputs = run_sampled(
+        topo, {0: TwoQubitLaw([("H", (0,)), ("H", (1,))] + gates)},
+        rounds=1, shots=shots, seed=seed,
+    )
+    drawn = np.array([out[0][0] | out[0][1] << 1 for out in outputs])
+    return keys, probs, drawn
+
+
+def _within_binomial_tolerance(keys, probs, drawn):
+    # each key's count is Binomial(shots, p): allow 5 standard deviations
+    shots = len(drawn)
+    for key, p in zip(keys, probs):
+        count = int(np.sum(drawn == key))
+        assert abs(count - shots * p) <= 5 * np.sqrt(shots * p * (1 - p))
+
+
+def test_a_uniform_law_is_drawn_uniformly():
+    keys, probs, drawn = _two_qubit_draws([], shots=4000, seed=3)
+    assert keys.tolist() == [0, 1, 2, 3]
+    assert probs.tolist() == [0.25] * 4
+    _within_binomial_tolerance(keys, probs, drawn)
+    picks = np.random.default_rng(3).integers(4, size=4000)
+    assert drawn.tolist() == keys[picks].tolist()
+
+
+def test_a_non_uniform_law_is_drawn_with_its_probabilities():
+    # CS then H on qubit 1, key bit j = qubit j: P(0) = 1/2, P(1) = P(3) = 1/4
+    # and key 2 stays in the law with probability 0
+    keys, probs, drawn = _two_qubit_draws(
+        [("CS", (0, 1)), ("H", (1,))], shots=4000, seed=3
+    )
+    assert keys.tolist() == [0, 1, 2, 3]
+    assert probs == pytest.approx([0.5, 0.25, 0.0, 0.25], abs=1e-12)
+    _within_binomial_tolerance(keys, probs, drawn)
+    picks = np.random.default_rng(3).choice(len(keys), p=probs, size=4000)
+    assert drawn.tolist() == keys[picks].tolist()

@@ -1,11 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from qlocal.distributions import marginal, tv_distance
+from qlocal import separation
+from qlocal.distributions import OutcomeDistribution, marginal, tv_distance
 from qlocal.network import empirical_distribution
 from qlocal.protocols import (
     AffineStrategy,
+    affine_carrier_terms,
+    affine_output_string,
+    all_affine_strategies,
     process_gates,
     sampling_protocol_programs,
 )
@@ -16,7 +21,7 @@ from qlocal.separation import (
     sampling_exact_law,
 )
 from qlocal.statevector import exact_distribution, run_gates
-from qlocal.topology import build_script_gd
+from qlocal.topology import build_script_gd, ring_distance
 from qlocal.verify import enumerate_support
 
 
@@ -78,8 +83,6 @@ def test_empirical_sampling_converges():
         x = tuple(record[i][0] for i in range(3 * d))
         b = tuple(record[3 * d + i][0] for i in range(3))
         entries[(b, x)] = entries.get((b, x), 0.0) + p
-    from qlocal.distributions import OutcomeDistribution
-
     emp = OutcomeDistribution(entries, space=("gamma", d))
     assert tv_distance(emp, exact_gamma(d)) <= 0.02
 
@@ -123,3 +126,56 @@ def test_min_tv_at_d6_is_unchanged():
     assert tv == 0.9999904632568357
     assert witness.biases == (2 / 11, 5 / 22, 5 / 11)
     assert witness.strategy.even == (0, 0, 0, 0)
+
+
+def _reference_min_tv(d, T):
+    """The search without a memo: every visible strategy scans the whole
+    23^3 bias grid, and the first strategy at the minimum is the witness."""
+    triples = list(itertools.product((0, 1), repeat=3))
+    supports = [enumerate_support(d, b) for b in triples]
+    grid = np.arange(23) / 22.0
+    combos = np.stack(
+        np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    ones = np.array(triples, dtype=float)[None, :, :] == 1.0
+    q = np.prod(
+        np.where(ones, combos[:, None, :], 1.0 - combos[:, None, :]), axis=2
+    )
+    best = None
+    for strategy in all_affine_strategies():
+        if any(
+            ring_distance(d, node, d * origin) > 2 * T - 1
+            for node, (_, coeffs) in affine_carrier_terms(d, strategy).items()
+            for origin in coeffs
+        ):
+            continue
+        gamma_hits = np.array([
+            2.0**-s.dim / 8 if affine_output_string(d, strategy, b) in s else 0.0
+            for b, s in zip(triples, supports)
+        ])
+        tvs = 0.5 * (
+            np.abs(q - gamma_hits[None, :]).sum(axis=1) + 1.0 - gamma_hits.sum()
+        )
+        g = int(np.argmin(tvs))
+        if best is None or tvs[g] < best[0]:
+            best = (float(tvs[g]), strategy, tuple(float(p) for p in combos[g]))
+    return best
+
+
+@pytest.mark.parametrize("d,T", [(4, 1), (8, 2)])
+def test_min_tv_equals_the_search_without_a_memo(d, T):
+    tv, witness = min_tv_affine_adversary(d, T)
+    ref_tv, ref_strategy, ref_biases = _reference_min_tv(d, T)
+    assert tv == ref_tv
+    assert witness.tv == ref_tv
+    assert witness.strategy == ref_strategy
+    assert witness.biases == ref_biases
+
+
+def test_sampling_law_rejects_outputs_wider_than_a_byte(monkeypatch):
+    d = 2
+    record = (b"\x00",) * (3 * d) + (b"\x00\x01", b"", b"\x00")
+    fake = OutcomeDistribution({record: 1.0}, space=("outputs", ()))
+    monkeypatch.setattr(separation, "run_exact", lambda *args, **kwargs: fake)
+    with pytest.raises(ValueError, match="one byte each"):
+        sampling_exact_law(d)
