@@ -90,7 +90,9 @@ def subgraph_fidelity_case(topology: Topology, assignment: dict):
 
     The fidelity to |G> = U_G|0> is the probability of all zeros once
     U_G^dagger (CZ on the kept edges, then H on every node qubit) acts on
-    the state the run built; an owner that is no node applies it.
+    the state the run built; an owner that is no node applies it. That law
+    is uniform on origin xor span(columns), whose origin is 0 exactly when
+    it holds all zeros.
     """
     programs = {u: GraphStateProgram(assignment[u]) for u in topology.nodes}
     result = run(topology, programs, rounds=2)
@@ -103,8 +105,8 @@ def subgraph_fidelity_case(topology: Topology, assignment: dict):
             arena.apply(owner, 2, "CZ", [qubit[u] for u in e])
     for q in qubit.values():
         arena.apply(owner, 2, "H", [q])
-    keys, probs = arena.distribution_over(list(qubit.values()))
-    fid = float(probs[keys == 0].sum())
+    origin, columns = arena.state.generator_law(list(qubit.values()))
+    fid = 0.0 if origin else 2.0 ** -len(columns)
     return fid, result.message_rounds
 
 

@@ -132,6 +132,22 @@ class QuantumArena:
     def distribution_over(self, qids):
         return self.state.distribution_over(qids)
 
+    def sample_over(self, qids, shots, rng) -> np.ndarray:
+        """`shots` draws of the given qubits' terminal measurement: a
+        shots x len(qids) bit matrix, qids[j] in column j. A stabilizer law
+        is drawn as origin xor r B, for r uniform bits over its columns B;
+        any other law key by key from its enumeration."""
+        law = self.state.generator_law(qids)
+        if law is None:
+            keys, probs = self.state.distribution_over(qids)
+            picks = keys[rng.choice(len(keys), p=probs, size=shots)]
+            return _bit_rows(picks.tolist(), len(qids))
+        origin, columns = law
+        r = rng.integers(2, size=(shots, len(columns)), dtype=np.uint8)
+        # float32 sums of fewer than 2^24 ones are exact, and BLAS is fast
+        x = (r.astype(np.float32) @ _bit_rows(columns, len(qids))) % 2
+        return x.astype(np.uint8) ^ _bit_rows([origin], len(qids))
+
     def dense_state(self, qid_order) -> np.ndarray:
         """Dense statevector over all live qubits, in the given order."""
         return self.state.dense_vector(qid_order)
@@ -279,8 +295,17 @@ def _execute_rounds(
     return contexts, arena, len(sent_in)
 
 
-def _law(contexts, order, arena):
-    """Joint law of every flagged qubit, node by node: (keys, probs).
+def _bit_rows(values, width) -> np.ndarray:
+    """One uint8 row per nonnegative Python int, however wide: bit j of the
+    int in column j."""
+    size = (width + 7) // 8
+    raw = b"".join(v.to_bytes(size, "little") for v in values)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+
+
+def _flagged_qubits(contexts, order, arena) -> list:
+    """Every flagged qubit, node by node.
 
     Each node must still own every qubit it flagged: once a flagged qubit
     is sent away, other nodes can act on it, and once discarded it has no
@@ -288,27 +313,30 @@ def _law(contexts, order, arena):
     """
     for u in order:
         arena._check_owned(u, contexts[u]._round, contexts[u]._measure_flags)
-    qids = [q for u in order for q in contexts[u]._measure_flags]
-    if not qids:
-        return np.zeros(1, dtype=np.int64), np.ones(1)
-    return arena.distribution_over(qids)
+    return [q for u in order for q in contexts[u]._measure_flags]
 
 
-def _finalize_all(programs, contexts, order, keys) -> list:
-    """Each key's record: the tuple of node outputs in node order.
+def _finalize_all(programs, contexts, order, bits) -> list:
+    """Each row's record: the tuple of node outputs in node order.
 
-    A node's flagged qubits are consecutive bits of the key, so its pure
-    `finalize` runs once per distinct value of those bits.
+    `bits` has one column per flagged qubit, as `_flagged_qubits` lists
+    them, so a node's columns are consecutive and its pure `finalize` runs
+    once per distinct value of them.
     """
     columns = []
     shift = 0
     for u in order:
         flags = contexts[u]._measure_flags
         if not flags:
-            columns.append([programs[u].finalize({})] * len(keys))
+            columns.append([programs[u].finalize({})] * len(bits))
             continue
+        # bit j of a node's value is its j-th flag; past 62, Python ints
+        weights = np.array(
+            [1 << j for j in range(len(flags))],
+            dtype=np.int64 if len(flags) < 63 else object,
+        )
         values, inverse = np.unique(
-            (keys >> shift) & ((1 << len(flags)) - 1), return_inverse=True
+            bits[:, shift:shift + len(flags)] @ weights, return_inverse=True
         )
         shift += len(flags)
         table = np.array([
@@ -323,15 +351,12 @@ def _finalize_all(programs, contexts, order, keys) -> list:
 
 def _sample_outputs(programs, contexts, order, arena, seed, shots) -> list:
     """Draw `shots` terminal measurements; one record per shot."""
-    keys, probs = _law(contexts, order, arena)
-    if len(keys) == 1:  # a sure outcome needs no draw
-        return _finalize_all(programs, contexts, order, keys) * shots
-    rng = np.random.default_rng(seed)
-    if probs.min() == probs.max():  # a uniform law, as every stabilizer law is
-        picks = rng.integers(len(keys), size=shots)
-    else:
-        picks = rng.choice(len(keys), p=probs, size=shots)
-    return _finalize_all(programs, contexts, order, keys[picks])
+    qids = _flagged_qubits(contexts, order, arena)
+    if not qids:  # nothing to draw: one record serves every shot
+        bits = np.zeros((1, 0), dtype=np.uint8)
+        return _finalize_all(programs, contexts, order, bits) * shots
+    bits = arena.sample_over(qids, shots, np.random.default_rng(seed))
+    return _finalize_all(programs, contexts, order, bits)
 
 
 def run(
@@ -416,8 +441,13 @@ def run_exact(
             topology, programs, rounds, seed=0, inputs=inputs,
             classical_only=False, randomness_overrides=overrides,
         )
-        keys, probs = _law(contexts, order, arena)
-        records = _finalize_all(programs, contexts, order, keys)
+        qids = _flagged_qubits(contexts, order, arena)
+        keys, probs = (
+            arena.distribution_over(qids) if qids
+            else (np.zeros(1, dtype=np.int64), np.ones(1))
+        )
+        bits = (keys[:, None] >> np.arange(len(qids))) & 1
+        records = _finalize_all(programs, contexts, order, bits)
         for record, prob in zip(records, probs):
             entries[record] = entries.get(record, 0.0) + weight * float(prob)
     return OutcomeDistribution(entries, space=output_space(topology))

@@ -3,7 +3,12 @@
 |f(y)> over h path variables y (Dehaene-De Moor, arXiv:quant-ph/0304125; Amy,
 arXiv:1805.06908). A live qubit's entry of f is a GF(2) affine form: a
 variable mask (a Python int, one bit per variable) and a constant bit. Q maps
-each monomial's variable mask to its coefficient mod 4."""
+each monomial's variable mask to its coefficient mod 4.
+
+A measurement law is read off the sum. When Q is Clifford, Amy's [HH] and
+[omega] rules sum variables out of a copy until the forms have full column
+rank; the law is then uniform on origin xor span(columns), which callers
+sample without listing it. Any other Q is summed path by path."""
 from __future__ import annotations
 
 from functools import reduce
@@ -13,8 +18,6 @@ from operator import or_, xor
 import numpy as np
 
 from .errors import EntangledDisposalError, ResourceLimitError
-from .stabilizer import AffineSupport, circuit_support
-from .statevector import cnot, cz, h, s
 
 # A law enumerates at most 2^MAX_ENUMERATED_BITS outcomes, and a sum that is
 # not a stabilizer state as many paths; the d=8 relation law has 2^23.
@@ -47,6 +50,45 @@ def _span(x0, basis, num_qubits, what) -> np.ndarray:
     return keys
 
 
+def _kernel_vector(forms, variables) -> int:
+    """A nonzero set of the given variables whose columns in the forms XOR
+    to zero, as a mask; 0 if the columns are independent."""
+    columns = dict.fromkeys(_bits(variables), 0)
+    for j, (mask, _) in enumerate(forms):
+        for v in _bits(mask):
+            columns[v] |= 1 << j
+    pivots = {}  # leading bit -> (column, the variables it sums)
+    for v, col in columns.items():
+        combo = v
+        while col:
+            lead = 1 << (col.bit_length() - 1)
+            if lead not in pivots:
+                pivots[lead] = (col, combo)
+                break
+            col ^= pivots[lead][0]
+            combo ^= pivots[lead][1]
+        else:
+            return combo
+    return 0
+
+
+def _reduced(vectors) -> dict:
+    """A basis of the span of GF(2) vectors (ints) in reduced echelon form,
+    as {leading bit: row}: each row's highest bit is set in no other row."""
+    rows = {}
+    for vec in vectors:
+        for lead, row in rows.items():
+            if vec & lead:
+                vec ^= row
+        if vec:
+            lead = 1 << (vec.bit_length() - 1)
+            for k, row in rows.items():
+                if row & lead:
+                    rows[k] = row ^ vec
+            rows[lead] = vec
+    return rows
+
+
 class PathSum:
     """A normalized state of the live qubits, keyed by qubit id."""
 
@@ -73,14 +115,18 @@ class PathSum:
 
     def _add_product(self, e, forms):
         """Q += e * prod [f], where [f] lifts a form's bit to Z4:
-        [y1 ^ ... ^ yk] = sum y_i + 2 sum_{i<j} y_i y_j, [1 ^ g] = 1 - [g]."""
+        [y1 ^ ... ^ yk] = sum y_i + 2 sum_{i<j} y_i y_j, [1 ^ g] = 1 - [g].
+        For even e only [f] mod 2, sum y_i + const, matters."""
         poly = {0: e}
         for mask, const in forms:
             ys = list(_bits(mask))
             lift = dict.fromkeys(ys, 1)
-            lift.update((a | b, 2) for a, b in combinations(ys, 2))
-            if const:
-                lift = {m: -c for m, c in lift.items()} | {0: 1}
+            if e % 2:
+                lift.update((a | b, 2) for a, b in combinations(ys, 2))
+                if const:
+                    lift = {m: -c for m, c in lift.items()} | {0: 1}
+            elif const:
+                lift[0] = 1
             product = {}
             for m1, c1 in poly.items():
                 for m2, c2 in lift.items():
@@ -136,52 +182,93 @@ class PathSum:
         masks = [mask for mask, _ in self.forms.values()] + list(self.q)
         return list(_bits(reduce(or_, masks, 0)))
 
+    def generator_law(self, qids):
+        """The law of the given qubits of a stabilizer state, as (origin,
+        columns): uniform on origin xor the span of the columns, with
+        qids[j] at bit j. Each column's highest bit is set in no other
+        column and not in origin, and the columns come by that bit
+        ascending, so len(columns) is the law's dimension. None unless Q
+        is Clifford."""
+        if not all(
+            m.bit_count() < 2 or (m.bit_count() == 2 and c == 2)
+            for m, c in self.q.items()
+        ):
+            return None
+        work = PathSum()
+        work.forms, work.q = dict(self.forms), dict(self.q)
+        work._reduce()
+        origin, columns = 0, {}
+        for j, qid in enumerate(qids):
+            mask, const = work.forms[qid]
+            origin |= const << j
+            for v in _bits(mask):
+                columns[v] = columns.get(v, 0) | 1 << j
+        rows = _reduced(columns.values())
+        for lead, row in rows.items():
+            if origin & lead:
+                origin ^= row
+        return origin, [rows[lead] for lead in sorted(rows)]
+
+    def _reduce(self):
+        """Rewrite the sum, keeping the law of every subset of qubits, until
+        no two paths reach one basis state (Amy, arXiv:1805.06908). A
+        variable y that Q holds and no form does is summed out; with
+        Q = y (a + 2[g]) + Q', the sum over y is 1 + i^a (-1)^[g]. For a in
+        {0, 2} it vanishes unless [g] = a/2 [HH], which fixes one variable
+        of g; for a in {1, 3} it is (1 + i^a) i^{(4-a)[g]} [omega]. While
+        the forms' columns are dependent, a kernel vector k frees one of its
+        variables p: y_i -> y_i ^ y_p for each other i in k, after which no
+        form holds y_p. Q must be Clifford; it stays so."""
+        while True:
+            in_forms = reduce(or_, (m for m, _ in self.forms.values()), 0)
+            loose = reduce(or_, self.q, 0) & ~in_forms
+            if loose:
+                p = loose & -loose
+                a = self.q.pop(p, 0)
+                g = 0
+                for m in [m for m in self.q if m & p]:
+                    del self.q[m]
+                    g ^= m ^ p
+                if a % 2:
+                    self._add_product(4 - a, [(g, 0)])
+                elif g:
+                    v = g & -g
+                    self._substitute({v: (g ^ v, a // 2)})
+                continue
+            k = _kernel_vector(self.forms.values(), in_forms)
+            if not k:
+                return
+            p = k & -k
+            self._substitute({v: (v | p, 0) for v in _bits(k ^ p)})
+
+    def _substitute(self, subs):
+        """y_v -> its affine form, for each {v: (mask, const)} of subs at
+        once, in the forms and in Q."""
+        moved = reduce(or_, subs, 0)
+        for qid, (m, c) in self.forms.items():
+            for v in _bits(m & moved):
+                mask, const = subs[v]
+                m, c = m ^ v ^ mask, c ^ const
+            self.forms[qid] = (m, c)
+        terms = [(m, self.q.pop(m)) for m in [m for m in self.q if m & moved]]
+        for m, c in terms:
+            self._add_product(c, [subs.get(v, (v, 0)) for v in _bits(m)])
+
     def distribution_over(self, qids):
         """Exact joint law of the given qubits: (keys, probabilities), keys
         ascending, with qids[j] at key bit j. Other live qubits are
         marginalized over."""
+        law = self.generator_law(qids)
+        if law is not None:
+            origin, columns = law
+            keys = _span(origin, columns, len(qids), "outcomes")
+            return keys, np.full(len(keys), 2.0 ** -len(columns))
         rest = [q for q in self.forms if q not in qids]
-        if all(
-            m.bit_count() < 2 or (m.bit_count() == 2 and c == 2)
-            for m, c in self.q.items()
-        ):
-            return self._stabilizer_law(list(qids), rest)
         keys, amps = self._amplitudes(list(qids) + rest)
         measured = keys & ((1 << len(qids)) - 1)
         keys, inverse = np.unique(measured, return_inverse=True)
         probs = np.bincount(inverse, weights=amps.real**2 + amps.imag**2)
         return keys, probs / probs.sum()
-
-    def _stabilizer_law(self, qids, rest):
-        """The law of a stabilizer state, uniform on the support of a
-        tableau: H on one qubit per variable, S^c and CZ for Q, CNOTs and X
-        for the forms into one qubit per live qubit, H on the variables, and
-        those postselected on 0. The variables and unmeasured qubits take
-        the high mask bits and are eliminated."""
-        variables = self._variables()
-        k, m = len(variables), len(qids)
-        index = {v: i for i, v in enumerate(variables)}
-        gates = [h(i) for i in range(k)]
-        for mono, c in self.q.items():
-            ys = [index[v] for v in _bits(mono)]
-            gates += [cz(*ys)] if len(ys) == 2 else [s(y) for y in ys] * c
-        for col, qid in enumerate(rest + qids, start=k):
-            mask, const = self.forms[qid]
-            gates += [cnot(index[v], col) for v in _bits(mask)]
-            gates += [h(col), s(col), s(col), h(col)] * const  # X
-        n = k + len(rest) + m
-        checks = circuit_support(n, gates + [h(i) for i in range(k)]).checks
-        postselect = tuple((1 << (n - 1 - i), 0) for i in range(k))
-        checks = AffineSupport(n, checks + postselect).checks
-        support = AffineSupport(m, [c for c in checks if c[0] >> m == 0])
-        # qids[j] is mask bit m-1-j, so keys are masks reversed. An entry's
-        # highest key bit is its free bit, which no other entry and not x0
-        # sets: spanning from the highest one down sorts the keys.
-        x0, basis = support.origin_and_basis()
-        x0, *basis = (int(format(b, f"0{m}b")[::-1], 2)
-                      for b in [x0] + basis[::-1])
-        keys = _span(x0, basis, m, "outcomes")
-        return keys, np.full(len(keys), 2.0**-support.dim)
 
     def _amplitudes(self, order):
         """Every path summed: (keys, amplitudes), one entry per basis state

@@ -18,6 +18,7 @@ TEST_ONLY = {
     "empirical_distribution": "sampled law; checks exact_gamma and the randomness branches",
     "GraphStateSampleProgram": "measured graph state; the locality criterion runs it",
     "cs": "gate constructor; the dense-engine tests build CS gates with it",
+    "cnot": "gate constructor; the arena and tableau tests build CNOT gates with it",
     "neighborhood": "the radius-T ball; the locality criterion flips inputs outside it",
     "run_gates": "dense reference the tests compare the arena and the tableau against",
     "exact_distribution": "dense reference the tests compare the arena and the tableau against",

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qlocal import network, sparse
 from qlocal.cli import build_parser, format_records, format_table, main
 
 
@@ -57,21 +58,26 @@ def test_odd_d_is_usage_error():
     assert exc.value.code == 2
 
 
+# No run at the default caps is refused any more: relation-validity and
+# subgraph-fidelity draw from generator laws at any d. A lowered cap makes
+# gamma-exact at d=2, which enumerates its law, a refused run.
 @pytest.mark.parametrize(
-    "experiment,d,message",
+    "module,cap,value,message",
     [
-        # the d=10 law has 2^28 outcomes
-        ("relation-validity", "10",
-         "2^28 outcomes exceed the enumeration cap of 2^23"),
-        # 69 node qubits do not fit an int64 key
-        ("subgraph-fidelity", "22",
-         "too many qubits for joint distribution keys"),
+        # a d=2 branch law has up to 2^5 outcomes
+        (sparse, "MAX_ENUMERATED_BITS", 4,
+         "2^5 outcomes exceed the enumeration cap of 2^4"),
+        # the three input nodes draw one bit each
+        (network, "MAX_RANDOM_BITS", 2,
+         "3 randomness bits exceed the enumeration budget of 2"),
     ],
-    ids=["relation-validity", "subgraph-fidelity"],
+    ids=["enumeration-cap", "randomness-budget"],
 )
-def test_simulation_error_is_usage_error(experiment, d, message, capsys):
+def test_simulation_error_is_usage_error(module, cap, value, message,
+                                         monkeypatch, capsys):
+    monkeypatch.setattr(module, cap, value)
     with pytest.raises(SystemExit) as exc:
-        main(["--experiment", experiment, "--d", d, "--shots", "1"])
+        main(["--experiment", "gamma-exact", "--d", "2"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(message)
@@ -81,6 +87,9 @@ def test_simulation_error_is_usage_error(experiment, d, message, capsys):
 @pytest.mark.parametrize("args", [
     ["--experiment", "relation-validity", "--d", "8", "--shots", "10"],
     ["--experiment", "subgraph-fidelity", "--d", "16", "--shots", "5"],
+    # a law of 2^28 outcomes, and 69 node qubits, past a 62-bit key
+    ["--experiment", "relation-validity", "--d", "10", "--shots", "10"],
+    ["--experiment", "subgraph-fidelity", "--d", "22", "--shots", "2"],
 ])
 def test_runs_holding_more_than_63_qubits(args, capsys):
     # each run holds more than 63 live qubits at once

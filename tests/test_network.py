@@ -1,5 +1,8 @@
 """Engine semantics: round timing, locality enforcement, reproducibility,
 gate validation, and agreement of the arena with the dense engine."""
+from functools import reduce
+from operator import xor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -653,19 +656,21 @@ class TwoQubitLaw(NodeProgram):
 
 
 def _two_qubit_draws(gates, shots, seed):
-    """(law keys, law probabilities, the key each shot drew)."""
+    """(law keys, law probabilities, the generator law or None, the key
+    each shot drew)."""
     arena = QuantumArena()
     qids = [arena.create(0), arena.create(0)]
     for kind, targets in [("H", (0,)), ("H", (1,))] + gates:
         arena.apply(0, 0, kind, [qids[j] for j in targets])
     keys, probs = arena.distribution_over(qids)
+    law = arena.state.generator_law(qids)
     topo = Topology([0], [])
     outputs = run_sampled(
         topo, {0: TwoQubitLaw([("H", (0,)), ("H", (1,))] + gates)},
-        rounds=1, shots=shots, seed=seed,
+        rounds=0, shots=shots, seed=seed,
     )
     drawn = np.array([out[0][0] | out[0][1] << 1 for out in outputs])
-    return keys, probs, drawn
+    return keys, probs, law, drawn
 
 
 def _within_binomial_tolerance(keys, probs, drawn):
@@ -677,20 +682,28 @@ def _within_binomial_tolerance(keys, probs, drawn):
 
 
 def test_a_uniform_law_is_drawn_uniformly():
-    keys, probs, drawn = _two_qubit_draws([], shots=4000, seed=3)
+    keys, probs, law, drawn = _two_qubit_draws([], shots=4000, seed=3)
     assert keys.tolist() == [0, 1, 2, 3]
     assert probs.tolist() == [0.25] * 4
     _within_binomial_tolerance(keys, probs, drawn)
-    picks = np.random.default_rng(3).integers(4, size=4000)
-    assert drawn.tolist() == keys[picks].tolist()
+    # shot i is origin xor the columns its row of uniform bits r selects
+    origin, columns = law
+    assert (origin, columns) == (0, [0b01, 0b10])
+    r = np.random.default_rng(3).integers(2, size=(4000, 2), dtype=np.uint8)
+    replay = [
+        origin ^ reduce(xor, (c for c, bit in zip(columns, row) if bit), 0)
+        for row in r.tolist()
+    ]
+    assert drawn.tolist() == replay
 
 
 def test_a_non_uniform_law_is_drawn_with_its_probabilities():
     # CS then H on qubit 1, key bit j = qubit j: P(0) = 1/2, P(1) = P(3) = 1/4
     # and key 2 stays in the law with probability 0
-    keys, probs, drawn = _two_qubit_draws(
+    keys, probs, law, drawn = _two_qubit_draws(
         [("CS", (0, 1)), ("H", (1,))], shots=4000, seed=3
     )
+    assert law is None  # CS leaves Q non-Clifford
     assert keys.tolist() == [0, 1, 2, 3]
     assert probs == pytest.approx([0.5, 0.25, 0.0, 0.25], abs=1e-12)
     _within_binomial_tolerance(keys, probs, drawn)

@@ -28,6 +28,7 @@ from qlocal.statevector import (
     run_gates,
 )
 from qlocal.topology import Topology, build_script_gd, disjoint_copies, input_nodes
+from qlocal.verify import enumerate_support
 
 TRIANGLE = Topology(range(3), [(0, 1), (1, 2), (2, 0)])
 
@@ -98,6 +99,26 @@ def test_subgraph_fidelity_sees_a_wrong_state(monkeypatch):
         assert fid == pytest.approx(1 / 8, abs=1e-12)
 
 
+class _ZSlip(GraphStateProgram):
+    """Builds its share, then applies a stray Z (S S) to its own qubit."""
+
+    def _after_disentangle(self):
+        self.ctx.apply("S", self.qubit)
+        self.ctx.apply("S", self.qubit)
+
+
+def test_subgraph_fidelity_of_an_orthogonal_state_is_zero(monkeypatch):
+    # a Z string stabilizes no graph state, so Z on every qubit leaves a
+    # state orthogonal to |G>: the law's origin is not all zeros
+    monkeypatch.setattr("qlocal.cli.GraphStateProgram", _ZSlip)
+    for assignment in ({0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 0}, {0: 0, 1: 0, 2: 0}):
+        fid, _ = subgraph_fidelity_case(TRIANGLE, assignment)
+        assert fid == 0.0
+        assert _dense_fidelity(TRIANGLE, assignment, _ZSlip) == pytest.approx(
+            0.0, abs=1e-12
+        )
+
+
 def test_indicator_from_inputs():
     topo = Topology([0, 1], [(0, 1)])
     programs = {u: GraphStateProgram() for u in topo.nodes}
@@ -143,6 +164,24 @@ def test_relation_input_nodes_hold_no_qubits(d, b):
     result.arena.dense_state(ring_qubits)
     keys, _ = result.arena.distribution_over(ring_qubits)
     assert len(keys) == (2 ** (3 * d - 1) if sum(b) % 2 else 2 ** (3 * d - 2))
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_relation_generator_law_is_the_tableau_support(d):
+    """Past the dense engine, the arena's law (path-sum reduction) against
+    the support of the process circuit's stabilizer tableau: both are
+    affine, so one dimension and the origin and each origin ^ column in
+    the support make them equal."""
+    for b in itertools.product((0, 1), repeat=3):
+        programs = relation_protocol_programs(d)
+        result = run(build_script_gd(d), programs, rounds=2,
+                     inputs=relation_inputs(d, b))
+        ring_qubits = [programs[u].qubit for u in range(3 * d)]
+        origin, columns = result.arena.state.generator_law(ring_qubits)
+        support = enumerate_support(d, b)
+        assert len(columns) == support.dim
+        for x in [origin] + [origin ^ c for c in columns]:
+            assert tuple((x >> i) & 1 for i in range(3 * d)) in support
 
 
 @pytest.mark.parametrize("d", [2, 4])

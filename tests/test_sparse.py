@@ -1,5 +1,5 @@
 """The path-sum state against the dense engine: laws on random circuits,
-key bit order, the circuits whose phase bookkeeping is easy to get wrong,
+generator laws on random Clifford circuits, key bit order, the circuits whose phase bookkeeping is easy to get wrong,
 which discards it accepts, and its enumeration cap; and H, which sums a
 variable out where it can, against the plain rule that never does, bit for
 bit, on 64-qubit states measured up to the highest key bit."""
@@ -50,16 +50,16 @@ def _law(state, qids) -> np.ndarray:
 
 
 @st.composite
-def circuits(draw):
+def circuits(draw, kinds=tuple(sorted(GATES))):
     """Up to 10 qubits from a random basis state (H S S H flips a qubit),
-    then up to 30 gates of every kind; in a paired circuit each CS is
+    then up to 30 gates of the given kinds; in a paired circuit each CS is
     followed by the CS back, which together make a CZ."""
     n = draw(st.integers(1, 10))
     paired = draw(st.booleans())
     gates = []
     for q in draw(st.sets(st.integers(0, n - 1))):
         gates += [h(q), s(q), s(q), h(q)]
-    for kind in draw(st.lists(st.sampled_from(sorted(GATES)), max_size=30)):
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
         arity = GATES[kind][0]
         if arity > n:
             continue
@@ -72,12 +72,59 @@ def circuits(draw):
     return n, gates, qids
 
 
+def _check_generator_law(state, dense, qids):
+    """A generator law, where the state has one, is uniform on the dense
+    law's support: origin xor every subset sum of its columns, each
+    column's highest bit its own."""
+    law = state.generator_law(qids)
+    if law is None:
+        return
+    origin, columns = law
+    leads = [1 << (c.bit_length() - 1) for c in columns]
+    assert leads == sorted(set(leads))
+    for lead in leads:
+        assert [c & lead for c in columns].count(lead) == 1
+        assert not origin & lead
+    span = {origin}
+    for c in columns:
+        span |= {x ^ c for x in span}
+    assert len(span) == 2 ** len(columns)
+    assert np.flatnonzero(dense > 1e-12).tolist() == sorted(span)
+    assert np.allclose(dense[sorted(span)], 2.0 ** -len(columns),
+                       rtol=0, atol=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(circuits())
 def test_law_equals_the_dense_marginal(circuit):
     n, gates, qids = circuit
-    got = _law(_path_sum(n, gates), qids)
-    assert np.allclose(got, _dense_law(n, gates, qids), rtol=0, atol=1e-12)
+    state = _path_sum(n, gates)
+    dense = _dense_law(n, gates, qids)
+    assert np.allclose(_law(state, qids), dense, rtol=0, atol=1e-12)
+    _check_generator_law(state, dense, qids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(kinds=("CNOT", "CZ", "H", "S")))
+def test_generator_law_equals_the_dense_marginal(circuit):
+    n, gates, qids = circuit
+    state = _path_sum(n, gates)
+    assert state.generator_law(qids) is not None
+    _check_generator_law(state, _dense_law(n, gates, qids), qids)
+
+
+def test_a_non_clifford_state_is_summed_path_by_path():
+    # CS then H on qubit 1, key bit j = qubit j: P(0) = 1/2, P(1) = P(3) =
+    # 1/4. CS puts a cross term with coefficient 1 in Q, which is not
+    # Clifford, so there is no generator law and the paths are summed.
+    gates = [h(0), h(1), cs(0, 1), h(1)]
+    state = _path_sum(2, gates)
+    assert state.generator_law([0, 1]) is None
+    keys, probs = state.distribution_over([0, 1])
+    assert keys.tolist() == [0, 1, 2, 3]
+    assert np.allclose(probs, [0.5, 0.25, 0.0, 0.25], rtol=0, atol=1e-12)
+    assert np.allclose(_law(state, [0, 1]), _dense_law(2, gates, [0, 1]),
+                       rtol=0, atol=1e-12)
 
 
 def test_key_bit_j_is_the_jth_qubit():
@@ -89,8 +136,9 @@ def test_key_bit_j_is_the_jth_qubit():
 
 
 # Each circuit reaches one branch whose phase a slip would lose: a linear
-# coefficient 2 that H sums out (H S S H = X); a linear coefficient 3 that
-# reaches the tableau; H summing out a variable whose form has constant 1,
+# coefficient 2 that H sums out (H S S H = X); a linear coefficient 3 on a
+# variable no form holds, which the law's reduction sums out by [omega];
+# H summing out a variable whose form has constant 1,
 # which leaves the phase 2 [g]; S on a form with constant 1, whose lift is
 # 1 - [g]; and a degree-3 term, which H must not sum out.
 # name -> (qubits, gates, measured qubits, support of their law)
