@@ -2,12 +2,7 @@
 networks, with the triangle relation and sampling separation experiments
 built on top of it."""
 
-from .distributions import (
-    OutcomeDistribution,
-    from_counts,
-    marginal,
-    tv_distance,
-)
+from .distributions import OutcomeDistribution, marginal, tv_distance
 from .errors import (
     EntangledDisposalError,
     LocalityError,
@@ -21,7 +16,6 @@ from .network import (
     LocalView,
     Message,
     NodeProgram,
-    empirical_distribution,
     role_of,
     run,
     run_exact,

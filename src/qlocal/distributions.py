@@ -34,15 +34,6 @@ class OutcomeDistribution:
         return len(self.entries)
 
 
-def from_counts(counts: dict, space) -> OutcomeDistribution:
-    total = sum(counts.values())
-    if total <= 0:
-        raise ValueError("empty count table")
-    return OutcomeDistribution(
-        {k: c / total for k, c in counts.items()}, space=space
-    )
-
-
 def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     """Total variation distance: half the l1 distance over the joint support."""
     if p.space != q.space:

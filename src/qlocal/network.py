@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import OutcomeDistribution, from_counts
+from .distributions import OutcomeDistribution
 from .errors import (
     LocalityError,
     ModelViolationError,
@@ -34,9 +34,6 @@ from .topology import Topology
 
 # Largest total randomness run_exact enumerates, in bits.
 MAX_RANDOM_BITS = 24
-# Largest total randomness empirical_distribution stratifies shots over, in
-# bits; above it, every shot is a separate execution.
-MAX_STRATIFIED_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -147,10 +144,6 @@ class QuantumArena:
         # float32 sums of fewer than 2^24 ones are exact, and BLAS is fast
         x = (r.astype(np.float32) @ _bit_rows(columns, len(qids))) % 2
         return x.astype(np.uint8) ^ _bit_rows([origin], len(qids))
-
-    def dense_state(self, qid_order) -> np.ndarray:
-        """Dense statevector over all live qubits, in the given order."""
-        return self.state.dense_vector(qid_order)
 
 
 class NodeContext:
@@ -399,24 +392,20 @@ def run_sampled(
     return [dict(zip(order, record)) for record in records]
 
 
-def _randomness_branches(topology, make_programs, max_random_bits):
+def _randomness_branches(topology, make_programs):
     probe = make_programs()
     widths = {u: getattr(probe[u], "randomness_bits", 0) for u in topology.nodes}
     total = sum(widths.values())
-    if total > max_random_bits:
+    if total > MAX_RANDOM_BITS:
         raise ResourceLimitError(
             f"{total} randomness bits exceed the enumeration budget of "
-            f"{max_random_bits}"
+            f"{MAX_RANDOM_BITS}"
         )
     nodes_with_bits = [u for u in topology.nodes if widths[u]]
     for combo in itertools.product(
         *[itertools.product((0, 1), repeat=widths[u]) for u in nodes_with_bits]
     ):
         yield dict(zip(nodes_with_bits, combo)), 2.0 ** -total
-
-
-def output_space(topology: Topology) -> tuple:
-    return ("outputs", tuple(repr(u) for u in topology.nodes))
 
 
 def run_exact(
@@ -433,9 +422,7 @@ def run_exact(
     """
     order = list(topology.nodes)
     entries = {}
-    for overrides, weight in _randomness_branches(
-        topology, make_programs, MAX_RANDOM_BITS
-    ):
+    for overrides, weight in _randomness_branches(topology, make_programs):
         programs = make_programs()
         contexts, arena, _ = _execute_rounds(
             topology, programs, rounds, seed=0, inputs=inputs,
@@ -450,57 +437,5 @@ def run_exact(
         records = _finalize_all(programs, contexts, order, bits)
         for record, prob in zip(records, probs):
             entries[record] = entries.get(record, 0.0) + weight * float(prob)
-    return OutcomeDistribution(entries, space=output_space(topology))
-
-
-def empirical_distribution(
-    topology: Topology,
-    make_programs,
-    rounds: int,
-    shots: int,
-    seed: int = 0,
-    inputs=None,
-) -> OutcomeDistribution:
-    """Frequency table of the protocol's outputs over `shots` executions.
-
-    When the total declared randomness is small, shots are stratified over
-    randomness branches (multinomial split, then terminal-measurement
-    sampling per branch), which is distributionally identical to looping
-    single executions but far cheaper.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    probe = make_programs()
-    total_bits = sum(
-        getattr(probe[u], "randomness_bits", 0) for u in topology.nodes
-    )
-    order = list(topology.nodes)
-    counts = {}
-    if total_bits <= MAX_STRATIFIED_BITS:
-        branches = list(
-            _randomness_branches(topology, make_programs, MAX_STRATIFIED_BITS)
-        )
-        per_branch = rng.multinomial(shots, [w for _, w in branches])
-        for (overrides, _), n in zip(branches, per_branch):
-            if n == 0:
-                continue
-            programs = make_programs()
-            branch_seed = int(rng.integers(2**31))
-            contexts, arena, _ = _execute_rounds(
-                topology, programs, rounds, branch_seed, inputs, False,
-                overrides,
-            )
-            for record in _sample_outputs(
-                programs, contexts, order, arena, branch_seed, int(n)
-            ):
-                counts[record] = counts.get(record, 0) + 1
-    else:
-        for _ in range(shots):
-            result = run(
-                topology, make_programs(), rounds,
-                seed=int(rng.integers(2**31)), inputs=inputs,
-            )
-            record = tuple(result.outputs[u] for u in order)
-            counts[record] = counts.get(record, 0) + 1
-    return from_counts(counts, space=output_space(topology))
+    space = ("outputs", tuple(repr(u) for u in order))
+    return OutcomeDistribution(entries, space=space)

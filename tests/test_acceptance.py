@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 
-from qlocal.cli import (
+from qlocal.experiments import (
     derandomize_demo,
     k_copies,
     relation_validity,

@@ -15,15 +15,14 @@ PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 TEST_ONLY = {
     "adversary_gamma_law": "one adversary's law; checks the TV search's witness distance",
-    "empirical_distribution": "sampled law; checks exact_gamma and the randomness branches",
     "GraphStateSampleProgram": "measured graph state; the locality criterion runs it",
-    "cs": "gate constructor; the dense-engine tests build CS gates with it",
-    "cnot": "gate constructor; the arena and tableau tests build CNOT gates with it",
+    "cs": "gate constructor; the dense-engine, arena and tableau tests build CS gates with it",
+    "cnot": "gate constructor; the dense-engine and arena tests build CNOT gates with it",
     "neighborhood": "the radius-T ball; the locality criterion flips inputs outside it",
     "run_gates": "dense reference the tests compare the arena and the tableau against",
     "exact_distribution": "dense reference the tests compare the arena and the tableau against",
     "fidelity": "dense reference the tests compare the arena and the tableau against",
-    "dense_state": "dense reference the tests compare the arena and the tableau against",
+    "dense_vector": "the arena's own amplitudes, which the tests compare against the dense reference",
 }
 
 

@@ -154,3 +154,12 @@ def test_shots_below_one_is_usage_error(experiment, shots, capsys):
         main(["--experiment", experiment, "--d", "4", "--shots", shots])
     assert exc.value.code == 2
     assert "--shots: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["relation-validity",
+                                        "subgraph-fidelity"])
+def test_negative_seed_is_usage_error(experiment, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--experiment", experiment, "--d", "4", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err

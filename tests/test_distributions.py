@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from qlocal.distributions import (
-    OutcomeDistribution,
-    from_counts,
-    marginal,
-    tv_distance,
-)
+from qlocal.distributions import OutcomeDistribution, marginal, tv_distance
 
 SPACE = ("bits", 2)
 
@@ -87,11 +82,3 @@ def test_data_processing_inequality_spot_check():
         for coord in (0, 1):
             assert tv_distance(marginal(p, coord), marginal(q, coord)) \
                 <= joint + 1e-12
-
-
-def test_from_counts():
-    d = from_counts({(0, 0): 3, (1, 1): 1}, space=SPACE)
-    assert d.probability((0, 0)) == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        from_counts({}, space=SPACE)
-

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qlocal import experiments
 from qlocal.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,6 +26,10 @@ INVOCATIONS = {
     "affine-bound": ["--experiment", "affine-bound"],
     "derandomize-demo": ["--experiment", "derandomize-demo"],
 }
+
+
+def test_every_experiment_has_a_golden():
+    assert set(INVOCATIONS) == set(experiments.EXPERIMENTS)
 
 
 @pytest.mark.parametrize("fmt", ["table", "records"])

@@ -18,7 +18,6 @@ from qlocal.network import (
     Message,
     NodeProgram,
     QuantumArena,
-    empirical_distribution,
     node_randomness,
     role_of,
     run,
@@ -148,7 +147,7 @@ def test_arena_agrees_with_dense_engine(ops):
         targets = order[:GATES[kind][0]]
         arena.apply("u", 0, kind, [qids[q] for q in targets], exponent)
         state = apply_gate(state, Gate(kind, targets, exponent))
-    assert np.allclose(arena.dense_state(qids), state.amplitudes,
+    assert np.allclose(arena.state.dense_vector(qids), state.amplitudes,
                        rtol=0, atol=1e-12)
 
 
@@ -587,31 +586,6 @@ def test_run_exact_enumerates_randomness():
     assert len(dist) == 4
     for p in dist.entries.values():
         assert abs(p - 0.25) < 1e-12
-
-
-def test_empirical_distribution_is_seed_stable():
-    args = (PATH2, lambda: {0: CoinFlip(), 1: CoinFlip()}, 0, 200)
-    d1 = empirical_distribution(*args, seed=3)
-    d2 = empirical_distribution(*args, seed=3)
-    assert d1.entries == d2.entries
-
-
-class XorOfManyBits(NodeProgram):
-    randomness_bits = 20  # above MAX_STRATIFIED_BITS: one execution per shot
-
-    def finalize(self, measured):
-        bit = 0
-        for r in self.ctx.randomness:
-            bit ^= r
-        return bytes([bit])
-
-
-def test_empirical_distribution_per_shot_path():
-    single = Topology([0], [])
-    dist = empirical_distribution(single, lambda: {0: XorOfManyBits()}, 0,
-                                  2000, seed=9)
-    assert set(k for (k,) in dist.entries) <= {b"\x00", b"\x01"}
-    assert dist.probability((b"\x01",)) == pytest.approx(0.5, abs=0.05)
 
 
 def test_run_sampled_matches_single_runs_shape():

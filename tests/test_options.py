@@ -15,8 +15,6 @@ OPTIONS = {
     "qlocal.network.Message.__init__(qubits)",
     "qlocal.network.NodeContext.apply(exponent)",
     "qlocal.network.QuantumArena.apply(exponent)",
-    "qlocal.network.empirical_distribution(inputs)",
-    "qlocal.network.empirical_distribution(seed)",
     "qlocal.network.run(classical_only)",
     "qlocal.network.run(inputs)",
     "qlocal.network.run(seed)",

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qlocal.cli import subgraph_fidelity_case, xor_oracle
+from qlocal.experiments import subgraph_fidelity_case, xor_oracle
 from qlocal.distributions import OutcomeDistribution, tv_distance
 from qlocal.errors import EntangledDisposalError, ProtocolError
 from qlocal.network import Message, NodeProgram, run, run_exact
@@ -39,7 +39,7 @@ def _dense_fidelity(topology, assignment, program=GraphStateProgram):
     programs = {u: program(assignment[u]) for u in topology.nodes}
     result = run(topology, programs, rounds=2)
     n = topology.num_nodes
-    built = result.arena.dense_state([programs[u].qubit for u in topology.nodes])
+    built = result.arena.state.dense_vector([programs[u].qubit for u in topology.nodes])
     kept = Topology(
         topology.nodes,
         [e for e in topology.edges if all(assignment[u] for u in e)],
@@ -91,7 +91,7 @@ class _PhaseSlip(GraphStateProgram):
 def test_subgraph_fidelity_sees_a_wrong_state(monkeypatch):
     # S = ((1+i) I + (1-i) Z) / 2, and no Z string stabilizes a graph state,
     # so a stray S on each of the 3 qubits leaves fidelity |(1+i)/2|^6 = 1/8
-    monkeypatch.setattr("qlocal.cli.GraphStateProgram", _PhaseSlip)
+    monkeypatch.setattr("qlocal.experiments.GraphStateProgram", _PhaseSlip)
     for assignment in ({0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 0}, {0: 0, 1: 0, 2: 0}):
         fid, _ = subgraph_fidelity_case(TRIANGLE, assignment)
         dense = _dense_fidelity(TRIANGLE, assignment, _PhaseSlip)
@@ -110,7 +110,7 @@ class _ZSlip(GraphStateProgram):
 def test_subgraph_fidelity_of_an_orthogonal_state_is_zero(monkeypatch):
     # a Z string stabilizes no graph state, so Z on every qubit leaves a
     # state orthogonal to |G>: the law's origin is not all zeros
-    monkeypatch.setattr("qlocal.cli.GraphStateProgram", _ZSlip)
+    monkeypatch.setattr("qlocal.experiments.GraphStateProgram", _ZSlip)
     for assignment in ({0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 0}, {0: 0, 1: 0, 2: 0}):
         fid, _ = subgraph_fidelity_case(TRIANGLE, assignment)
         assert fid == 0.0
@@ -161,7 +161,7 @@ def test_relation_input_nodes_hold_no_qubits(d, b):
                  inputs=relation_inputs(d, b))
     ring_qubits = [programs[u].qubit for u in range(3 * d)]
     # raises unless the ring qubits are exactly the live ones
-    result.arena.dense_state(ring_qubits)
+    result.arena.state.dense_vector(ring_qubits)
     keys, _ = result.arena.distribution_over(ring_qubits)
     assert len(keys) == (2 ** (3 * d - 1) if sum(b) % 2 else 2 ** (3 * d - 2))
 
@@ -188,7 +188,7 @@ def test_relation_generator_law_is_the_tableau_support(d):
 def test_sampling_input_nodes_hold_no_qubits(d):
     programs = sampling_protocol_programs(d)
     result = run(build_script_gd(d), programs, rounds=2, seed=3)
-    result.arena.dense_state([programs[u].qubit for u in range(3 * d)])
+    result.arena.state.dense_vector([programs[u].qubit for u in range(3 * d)])
 
 
 class _KeepsRelaysEntangled(GraphStateProgram):

@@ -5,14 +5,15 @@ import pytest
 
 from qlocal import separation
 from qlocal.distributions import OutcomeDistribution, marginal, tv_distance
-from qlocal.network import empirical_distribution
+from qlocal.network import run_sampled
 from qlocal.protocols import (
     AffineStrategy,
     affine_carrier_terms,
     affine_output_string,
     all_affine_strategies,
     process_gates,
-    sampling_protocol_programs,
+    relation_inputs,
+    relation_protocol_programs,
 )
 from qlocal.separation import (
     adversary_gamma_law,
@@ -73,18 +74,26 @@ def test_gamma_cap():
 
 
 def test_empirical_sampling_converges():
-    d = 2
-    raw = empirical_distribution(
-        build_script_gd(d), lambda: sampling_protocol_programs(d),
-        rounds=2, shots=100_000, seed=5,
-    )
-    entries = {}
-    for record, p in raw.items():
-        x = tuple(record[i][0] for i in range(3 * d))
-        b = tuple(record[3 * d + i][0] for i in range(3))
-        entries[(b, x)] = entries.get((b, x), 0.0) + p
-    emp = OutcomeDistribution(entries, space=("gamma", d))
-    assert tv_distance(emp, exact_gamma(d)) <= 0.02
+    # Γ is uniform on each triple's support, so the sampled relation
+    # outcomes must be too
+    d, shots = 2, 100_000
+    for b in itertools.product((0, 1), repeat=3):
+        records = run_sampled(
+            build_script_gd(d), relation_protocol_programs(d), rounds=2,
+            shots=shots, seed=5, inputs=relation_inputs(d, b),
+        )
+        counts = {}
+        for out in records:
+            x = tuple(out[i][0] for i in range(3 * d))
+            counts[x] = counts.get(x, 0) + 1
+        emp = OutcomeDistribution(
+            {x: c / shots for x, c in counts.items()}, space=("bits", 3 * d)
+        )
+        support = enumerate_support(d, b)
+        uniform = OutcomeDistribution(
+            {x: 1 / len(support) for x in support}, space=("bits", 3 * d)
+        )
+        assert tv_distance(emp, uniform) <= 0.02, b
 
 
 def test_adversary_law_is_a_distribution():
