@@ -54,7 +54,6 @@ from .topology import (
     ring_partition,
 )
 from .verify import (
-    ParityTuple,
     best_affine_success,
     check_prop1,
     enumerate_support,

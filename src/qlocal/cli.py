@@ -15,6 +15,7 @@ from itertools import product
 
 from .errors import SimulationError
 from .experiments import EXPERIMENTS
+from .topology import check_even_d
 
 DEFAULT_SEED = 1234
 
@@ -67,8 +68,7 @@ def _rows_for(args):
     params, row = EXPERIMENTS[args.experiment]
     if "d" in params:
         for d in args.d:
-            if d < 2 or d % 2:
-                raise ValueError(f"d must be a positive even integer, got {d}")
+            check_even_d(d)
     ranges = [
         getattr(args, p) if p in _SWEPT else [getattr(args, p)] for p in params
     ]

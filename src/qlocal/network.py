@@ -377,7 +377,9 @@ def run_sampled(
     seed: int = 0,
     inputs=None,
 ) -> list:
-    """One execution, many independent terminal-measurement samples.
+    """One execution, many independent terminal-measurement samples: one
+    record per shot, the tuple of node outputs in `topology.nodes` order
+    (as `run_exact` keys its law).
 
     Valid because the terminal measurement is the only sampled step of an
     execution with fixed randomness; program finalize must be pure.
@@ -388,8 +390,7 @@ def run_sampled(
     contexts, arena, _ = _execute_rounds(
         topology, programs, rounds, seed, inputs, False, None
     )
-    records = _sample_outputs(programs, contexts, order, arena, seed, shots)
-    return [dict(zip(order, record)) for record in records]
+    return _sample_outputs(programs, contexts, order, arena, seed, shots)
 
 
 def _randomness_branches(topology, make_programs):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import ProtocolError
 from .network import Message, NodeProgram, role_of
@@ -105,7 +106,8 @@ class GraphStateProgram(NodeProgram):
 
 class GraphStateSampleProgram(GraphStateProgram):
     """Subgraph construction followed by an H-basis measurement of the
-    node's qubit; used by the locality test suite."""
+    node's qubit. The locality tests run it as is; `RelationProgram`
+    extends it with the corners' conditional phase."""
 
     def _after_disentangle(self):
         self.ctx.apply("H", self.qubit)
@@ -115,7 +117,7 @@ class GraphStateSampleProgram(GraphStateProgram):
         return bytes([measured[self.qubit]])
 
 
-class RelationProgram(GraphStateProgram):
+class RelationProgram(GraphStateSampleProgram):
     """One node of the 2-round ring-measurement protocol.
 
     Roles are read off the degree. A degree-1 input node is classical: it
@@ -158,13 +160,12 @@ class RelationProgram(GraphStateProgram):
     def _after_disentangle(self):
         if self.role == "corner":
             self.ctx.apply("S_POWER", self.qubit, exponent=self.b)
-        self.ctx.apply("H", self.qubit)
-        self.ctx.measure(self.qubit)
+        super()._after_disentangle()
 
     def finalize(self, measured):
         if self.role == "input-node":
             return b""
-        return bytes([measured[self.qubit]])
+        return super().finalize(measured)
 
 
 class SamplingInputProgram(RelationProgram):
@@ -251,38 +252,22 @@ class AffineStrategy:
             if len(coeffs) != width or any(c not in (0, 1) for c in coeffs):
                 raise ValueError(f"{name} needs {width} coefficient bits")
 
-    def q_even(self, b0, b1, b2):
-        e = self.even
-        return e[0] ^ (e[1] & b0) ^ (e[2] & b1) ^ (e[3] & b2)
-
-    def q_right(self, b0, b1):
-        r = self.right
-        return r[0] ^ (r[1] & b0) ^ (r[2] & b1)
-
-    def q_bottom(self, b1, b2):
-        t = self.bottom
-        return t[0] ^ (t[1] & b1) ^ (t[2] & b2)
-
-    def q_left(self, b0, b2):
-        l = self.left
-        return l[0] ^ (l[1] & b0) ^ (l[2] & b2)
-
     def is_admissible(self) -> bool:
         """q_R ^ q_B ^ q_L vanishes on all eight inputs."""
         return all(
-            self.q_right(b0, b1) ^ self.q_bottom(b1, b2) ^ self.q_left(b0, b2) == 0
-            for b0 in (0, 1)
-            for b1 in (0, 1)
-            for b2 in (0, 1)
+            r ^ t ^ l == 0
+            for _, r, t, l in map(self.parity_tuple, product((0, 1), repeat=3))
         )
 
     def parity_tuple(self, b) -> tuple:
+        """(q_E, q_R, q_B, q_L) on input b = (b0, b1, b2)."""
         b0, b1, b2 = b
+        e, r, t, l = self.even, self.right, self.bottom, self.left
         return (
-            self.q_even(b0, b1, b2),
-            self.q_right(b0, b1),
-            self.q_bottom(b1, b2),
-            self.q_left(b0, b2),
+            e[0] ^ (e[1] & b0) ^ (e[2] & b1) ^ (e[3] & b2),
+            r[0] ^ (r[1] & b0) ^ (r[2] & b1),
+            t[0] ^ (t[1] & b1) ^ (t[2] & b2),
+            l[0] ^ (l[1] & b0) ^ (l[2] & b2),
         )
 
 
@@ -452,8 +437,6 @@ def _carrier_output_string(d: int, carriers: dict, b: tuple) -> tuple:
 def all_affine_strategies():
     """Every admissible strategy: 16 even-parity functions times the 32
     side triples satisfying the parity constraint."""
-    from itertools import product
-
     for even in product((0, 1), repeat=4):
         for right in product((0, 1), repeat=3):
             for bottom in product((0, 1), repeat=3):

@@ -50,15 +50,21 @@ def _span(x0, basis, num_qubits, what) -> np.ndarray:
     return keys
 
 
-def _kernel_vector(forms, variables) -> int:
-    """A nonzero set of the given variables whose columns in the forms XOR
-    to zero, as a mask; 0 if the columns are independent."""
-    columns = dict.fromkeys(_bits(variables), 0)
+def _columns(forms) -> dict:
+    """Each variable the forms hold -> its column over them (bit j for the
+    j-th form), by variable ascending."""
+    columns = {}
     for j, (mask, _) in enumerate(forms):
         for v in _bits(mask):
-            columns[v] |= 1 << j
+            columns[v] = columns.get(v, 0) | 1 << j
+    return dict(sorted(columns.items()))
+
+
+def _kernel_vector(forms) -> int:
+    """A nonzero set of the forms' variables whose columns XOR to zero, as
+    a mask; 0 if the columns are independent."""
     pivots = {}  # leading bit -> (column, the variables it sums)
-    for v, col in columns.items():
+    for v, col in _columns(forms).items():
         combo = v
         while col:
             lead = 1 << (col.bit_length() - 1)
@@ -197,13 +203,9 @@ class PathSum:
         work = PathSum()
         work.forms, work.q = dict(self.forms), dict(self.q)
         work._reduce()
-        origin, columns = 0, {}
-        for j, qid in enumerate(qids):
-            mask, const = work.forms[qid]
-            origin |= const << j
-            for v in _bits(mask):
-                columns[v] = columns.get(v, 0) | 1 << j
-        rows = _reduced(columns.values())
+        forms = [work.forms[qid] for qid in qids]
+        origin = sum(const << j for j, (_, const) in enumerate(forms))
+        rows = _reduced(_columns(forms).values())
         for lead, row in rows.items():
             if origin & lead:
                 origin ^= row
@@ -235,7 +237,7 @@ class PathSum:
                     v = g & -g
                     self._substitute({v: (g ^ v, a // 2)})
                 continue
-            k = _kernel_vector(self.forms.values(), in_forms)
+            k = _kernel_vector(self.forms.values())
             if not k:
                 return
             p = k & -k

@@ -5,7 +5,6 @@ experiments.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -61,15 +60,8 @@ class Topology:
     def is_connected(self) -> bool:
         if not self.nodes:
             return True
-        seen = {self.nodes[0]}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for v in self._neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == len(self.nodes)
+        ball = neighborhood(self, self.nodes[0], len(self.nodes))
+        return len(ball) == len(self.nodes)
 
 
 def neighborhood(topology: Topology, u, r: int) -> set:
@@ -90,14 +82,14 @@ def neighborhood(topology: Topology, u, r: int) -> set:
     return ball
 
 
-def _check_even_d(d):
+def check_even_d(d):
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be an even integer >= 2, got {d}")
 
 
 def build_gd(d: int) -> Topology:
     """The ring of 3d nodes labelled 0 .. 3d-1 (node i is v_i)."""
-    _check_even_d(d)
+    check_even_d(d)
     n = 3 * d
     return Topology(range(n), [(i, (i + 1) % n) for i in range(n)])
 
@@ -107,7 +99,7 @@ def build_script_gd(d: int) -> Topology:
 
     Input node w_i has identifier 3d + i and is attached to corner v_{d*i}.
     """
-    _check_even_d(d)
+    check_even_d(d)
     n = 3 * d
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(3 * d + i, d * i) for i in range(3)]
@@ -124,7 +116,7 @@ def input_nodes(d: int) -> tuple:
 
 def ring_partition(d: int) -> dict:
     """The side / parity node sets of the 3d-ring, as sets of labels."""
-    _check_even_d(d)
+    check_even_d(d)
     n = 3 * d
     return {
         "V_R": set(range(1, d)),

@@ -26,24 +26,14 @@ from .topology import ring_partition
 
 
 @dataclass(frozen=True)
-class ParityTuple:
-    m_even: int
-    m_right: int
-    m_bottom: int
-    m_left: int
-
-    def as_bits(self):
-        return (self.m_even, self.m_right, self.m_bottom, self.m_left)
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     in_support: bool
     parity_ok: bool
 
 
-def parities(d: int, outcome) -> ParityTuple:
-    """XOR the outcome bits over the even set and each side's odd set."""
+def parities(d: int, outcome) -> tuple:
+    """XOR the outcome bits over the even set and each side's odd set:
+    (m_even, m_right, m_bottom, m_left)."""
     outcome = tuple(outcome)
     if len(outcome) != 3 * d:
         raise ValueError(f"outcome must have length {3 * d}")
@@ -57,7 +47,7 @@ def parities(d: int, outcome) -> ParityTuple:
             acc ^= outcome[i]
         return acc
 
-    return ParityTuple(
+    return (
         xor_over(even),
         xor_over(sets["V_R"] & odd),
         xor_over(sets["V_B"] & odd),
@@ -75,11 +65,11 @@ _CASE_TABLE = {
 }
 
 
-def check_prop1(b, p: ParityTuple) -> bool:
-    """True iff the universal side identity holds and, for the four listed
-    input triples, the input-specific identity as well."""
+def check_prop1(b, bits) -> bool:
+    """True iff the parities bits = (m_even, m_right, m_bottom, m_left)
+    satisfy the universal side identity and, for the four listed input
+    triples, the input-specific identity as well."""
     b = tuple(b)
-    bits = p.as_bits()
     if bits[1] ^ bits[2] ^ bits[3] != 0:
         return False
     case = _CASE_TABLE.get(b)
@@ -92,8 +82,7 @@ def check_prop1(b, p: ParityTuple) -> bool:
 def parity_success_count(strategy: AffineStrategy) -> int:
     """On how many of the 8 inputs the strategy's parities pass check_prop1."""
     return sum(
-        check_prop1(b, ParityTuple(*strategy.parity_tuple(b)))
-        for b in product((0, 1), repeat=3)
+        check_prop1(b, strategy.parity_tuple(b)) for b in product((0, 1), repeat=3)
     )
 
 

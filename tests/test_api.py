@@ -15,10 +15,8 @@ PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 TEST_ONLY = {
     "adversary_gamma_law": "one adversary's law; checks the TV search's witness distance",
-    "GraphStateSampleProgram": "measured graph state; the locality criterion runs it",
     "cs": "gate constructor; the dense-engine, arena and tableau tests build CS gates with it",
     "cnot": "gate constructor; the dense-engine and arena tests build CNOT gates with it",
-    "neighborhood": "the radius-T ball; the locality criterion flips inputs outside it",
     "run_gates": "dense reference the tests compare the arena and the tableau against",
     "exact_distribution": "dense reference the tests compare the arena and the tableau against",
     "fidelity": "dense reference the tests compare the arena and the tableau against",

@@ -52,10 +52,15 @@ def test_empty_range_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_odd_d_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["--experiment", "gamma-exact", "--d", "3"])
-    assert exc.value.code == 2
+def test_odd_d_is_usage_error(capsys):
+    # a bad value anywhere in a sweep fails before any row runs
+    for d, bad in (("0", 0), ("3", 3), ("2,3", 3)):
+        with pytest.raises(SystemExit) as exc:
+            main(["--experiment", "gamma-exact", "--d", d])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"d must be an even integer >= 2, got {bad}" in captured.err
+        assert captured.out == ""
 
 
 # No run at the default caps is refused any more: relation-validity and

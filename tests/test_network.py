@@ -1,5 +1,6 @@
 """Engine semantics: round timing, locality enforcement, reproducibility,
 gate validation, and agreement of the arena with the dense engine."""
+import itertools
 from functools import reduce
 from operator import xor
 
@@ -589,9 +590,35 @@ def test_run_exact_enumerates_randomness():
 
 
 def test_run_sampled_matches_single_runs_shape():
+    # one record per shot: the node outputs, in node order
     outs = run_sampled(PATH2, {0: Echo(), 1: Echo()}, rounds=1, shots=3)
-    assert len(outs) == 3
-    assert all(set(o) == {0, 1} for o in outs)
+    heard = (repr([(1, b"1")]).encode(), repr([(1, b"0")]).encode())
+    assert outs == [heard] * 3
+    d = 2
+    topology = build_script_gd(d)
+    (record,) = run_sampled(
+        topology, relation_protocol_programs(d), rounds=2, shots=1, seed=4,
+        inputs=relation_inputs(d, (1, 0, 1)),
+    )
+    assert len(record) == topology.num_nodes == 3 * d + 3
+    assert all(len(out) == 1 for out in record[:3 * d])
+    assert record[3 * d:] == (b"", b"", b"")
+
+
+def test_one_shot_of_run_sampled_is_the_record_of_run():
+    # both runners draw through one rng seeded alike
+    d = 4
+    topology = build_script_gd(d)
+    for b in itertools.product((0, 1), repeat=3):
+        for seed in (0, 1, 7, 1234):
+            kwargs = dict(seed=seed, inputs=relation_inputs(d, b))
+            (record,) = run_sampled(
+                topology, relation_protocol_programs(d), 2, shots=1, **kwargs
+            )
+            outputs = run(
+                topology, relation_protocol_programs(d), 2, **kwargs
+            ).outputs
+            assert record == tuple(outputs[u] for u in topology.nodes)
 
 
 def test_missing_program_rejected():

@@ -64,6 +64,9 @@ def test_validation_errors():
         Topology([0, 1, 2], [(0, 1)])  # disconnected
     t = Topology([0, 1, 2], [(0, 1)], allow_disconnected=True)
     assert not t.is_connected()
+    # the empty graph and a lone node are connected
+    assert Topology([], []).is_connected()
+    assert Topology([0], []).is_connected()
 
 
 def test_neighborhood_and_distance():

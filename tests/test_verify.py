@@ -6,7 +6,6 @@ import pytest
 from qlocal import verify
 from qlocal.protocols import AffineStrategy
 from qlocal.verify import (
-    ParityTuple,
     best_affine_success,
     check_prop1,
     enumerate_support,
@@ -25,20 +24,20 @@ def single_one(d, position):
 
 
 def test_parities_of_single_bits():
-    assert parities(4, single_one(4, 0)).as_bits() == (1, 0, 0, 0)
-    assert parities(4, single_one(4, 1)).as_bits() == (0, 1, 0, 0)
-    assert parities(4, single_one(4, 5)).as_bits() == (0, 0, 1, 0)
-    assert parities(4, single_one(4, 9)).as_bits() == (0, 0, 0, 1)
+    assert parities(4, single_one(4, 0)) == (1, 0, 0, 0)
+    assert parities(4, single_one(4, 1)) == (0, 1, 0, 0)
+    assert parities(4, single_one(4, 5)) == (0, 0, 1, 0)
+    assert parities(4, single_one(4, 9)) == (0, 0, 0, 1)
     # corners and even side nodes only feed the even parity
-    assert parities(4, single_one(4, 4)).as_bits() == (1, 0, 0, 0)
-    assert parities(4, single_one(4, 2)).as_bits() == (1, 0, 0, 0)
+    assert parities(4, single_one(4, 4)) == (1, 0, 0, 0)
+    assert parities(4, single_one(4, 2)) == (1, 0, 0, 0)
 
 
 def test_parities_are_linear():
     a = single_one(2, 1)
     b = single_one(2, 3)
     both = tuple(x ^ y for x, y in zip(a, b))
-    pa, pb, pboth = (parities(2, s).as_bits() for s in (a, b, both))
+    pa, pb, pboth = (parities(2, s) for s in (a, b, both))
     assert pboth == tuple(x ^ y for x, y in zip(pa, pb))
 
 
@@ -49,21 +48,21 @@ def test_parities_length_check():
 
 def test_check_prop1_universal_identity():
     # unbalanced side parities are never valid, whatever the input
-    bad = ParityTuple(0, 1, 0, 0)
+    bad = (0, 1, 0, 0)
     for b in itertools.product((0, 1), repeat=3):
         assert not check_prop1(b, bad)
 
 
 def test_check_prop1_case_identities():
-    assert check_prop1((0, 0, 0), ParityTuple(0, 0, 0, 0))
-    assert not check_prop1((0, 0, 0), ParityTuple(1, 0, 0, 0))
-    assert check_prop1((0, 1, 1), ParityTuple(0, 1, 1, 0))
-    assert not check_prop1((0, 1, 1), ParityTuple(1, 0, 1, 1))
-    assert check_prop1((1, 0, 1), ParityTuple(0, 1, 0, 1))
-    assert check_prop1((1, 1, 0), ParityTuple(0, 1, 1, 0))
+    assert check_prop1((0, 0, 0), (0, 0, 0, 0))
+    assert not check_prop1((0, 0, 0), (1, 0, 0, 0))
+    assert check_prop1((0, 1, 1), (0, 1, 1, 0))
+    assert not check_prop1((0, 1, 1), (1, 0, 1, 1))
+    assert check_prop1((1, 0, 1), (0, 1, 0, 1))
+    assert check_prop1((1, 1, 0), (0, 1, 1, 0))
     # inputs without a case identity only need the universal one
-    assert check_prop1((1, 1, 1), ParityTuple(1, 0, 0, 0))
-    assert check_prop1((0, 0, 1), ParityTuple(0, 1, 1, 0))
+    assert check_prop1((1, 1, 1), (1, 0, 0, 0))
+    assert check_prop1((0, 0, 1), (0, 1, 1, 0))
 
 
 def _support_sizes(d):
@@ -148,7 +147,7 @@ def test_witness_parity_success_matches_support_membership():
     by_input = strategy_success_by_input(4, witness)
     assert sum(by_input.values()) == 7
     for b in itertools.product((0, 1), repeat=3):
-        expected = check_prop1(b, ParityTuple(*witness.parity_tuple(b)))
+        expected = check_prop1(b, witness.parity_tuple(b))
         assert by_input[b] == expected
 
 
