@@ -17,11 +17,12 @@ class OutcomeDistribution:
     space: tuple
 
     def __post_init__(self):
+        # written so that a NaN fails both checks
         for p in self.entries.values():
-            if p < -_SUM_TOL:
-                raise ValueError("negative probability")
+            if not p >= -_SUM_TOL:
+                raise ValueError(f"probability {p} is negative or NaN")
         total = sum(self.entries.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     def probability(self, key) -> float:

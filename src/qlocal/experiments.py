@@ -88,8 +88,9 @@ def subgraph_fidelity_case(topology: Topology, assignment: dict):
     is uniform on origin xor span(columns), whose origin is 0 exactly when
     it holds all zeros.
     """
-    programs = {u: GraphStateProgram(assignment[u]) for u in topology.nodes}
-    result = run(topology, programs, rounds=2)
+    programs = {u: GraphStateProgram() for u in topology.nodes}
+    inputs = {u: bytes([assignment[u]]) for u in topology.nodes}
+    result = run(topology, programs, rounds=2, inputs=inputs)
     arena = result.arena
     qubit = {u: programs[u].qubit for u in topology.nodes}
     owner = object()

@@ -9,15 +9,16 @@ a program can only touch qubits its node currently owns, and at the
 terminal measurement it learns the outcomes of the qubits it owns then.
 
 All randomness is finite and handed out at init: a program declares
-`randomness_bits` and receives that many bits, derived deterministically
-from (run seed, node id). This makes executions replayable and lets the
-exact-law routines enumerate every randomness branch.
+`randomness_bits` and receives exactly that many bits, derived from
+(run seed, node id) by `run` and `run_sampled`, so executions replay, and
+enumerated branch by branch by `run_exact`.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -113,9 +114,9 @@ class QuantumArena:
             if self._owner.get(qid) != node:
                 raise LocalityError(node, round_index, qid)
 
-    def apply(self, node, round_index, kind, qids, exponent=1):
+    def apply(self, node, round_index, kind, qids):
         self._check_owned(node, round_index, qids)
-        self.state.apply(Gate(kind, qids, exponent))
+        self.state.apply(Gate(kind, qids))
 
     def discard(self, node, round_index, qid):
         self._check_owned(node, round_index, [qid])
@@ -178,8 +179,8 @@ class NodeContext:
     def new_qubit(self) -> int:
         return self._quantum().create(self.self_id)
 
-    def apply(self, kind, *qubits, exponent=1):
-        self._quantum().apply(self.self_id, self._round, kind, qubits, exponent)
+    def apply(self, kind, *qubits):
+        self._quantum().apply(self.self_id, self._round, kind, qubits)
 
     def discard(self, qubit):
         self._quantum().discard(self.self_id, self._round, qubit)
@@ -212,16 +213,15 @@ def _execute_rounds(
     topology: Topology,
     programs: dict,
     rounds: int,
-    seed: int,
     inputs,
     classical_only,
-    randomness_overrides,
+    randomness,
 ):
     """Run init plus all round calls; returns (contexts, arena, the number
     of round calls in which some node sent a message).
 
-    A node listed in `randomness_overrides` gets the bits given there in
-    place of the ones derived from (seed, node id).
+    `randomness(u, nbits)` is node u's random string: it must hold exactly
+    the `randomness_bits` that u's program declares.
     """
     if set(programs) != set(topology.nodes):
         raise ValueError("need exactly one program per node")
@@ -235,12 +235,9 @@ def _execute_rounds(
     for u in order:
         prog = programs[u]
         nbits = getattr(prog, "randomness_bits", 0)
-        if randomness_overrides is not None and u in randomness_overrides:
-            rand = tuple(randomness_overrides[u])
-            if len(rand) != nbits:
-                raise ValueError(f"randomness override length mismatch at {u!r}")
-        else:
-            rand = node_randomness(seed, u, nbits)
+        rand = tuple(randomness(u, nbits))
+        if len(rand) != nbits:
+            raise ValueError(f"node {u!r} got {len(rand)} random bits, not {nbits}")
         view = LocalView(u, topology.neighbors(u), topology.num_nodes)
         ctx = NodeContext(view, inputs.get(u), rand, arena, not classical_only)
         contexts[u] = ctx
@@ -363,7 +360,8 @@ def run(
     """One full execution: T rounds, one terminal measurement, finalize."""
     order = list(topology.nodes)
     contexts, arena, message_rounds = _execute_rounds(
-        topology, programs, rounds, seed, inputs, classical_only, None
+        topology, programs, rounds, inputs, classical_only,
+        partial(node_randomness, seed),
     )
     (record,) = _sample_outputs(programs, contexts, order, arena, seed, 1)
     return ExecutionResult(dict(zip(order, record)), message_rounds, arena)
@@ -388,7 +386,7 @@ def run_sampled(
         raise ValueError("shots must be >= 1")
     order = list(topology.nodes)
     contexts, arena, _ = _execute_rounds(
-        topology, programs, rounds, seed, inputs, False, None
+        topology, programs, rounds, inputs, False, partial(node_randomness, seed)
     )
     return _sample_outputs(programs, contexts, order, arena, seed, shots)
 
@@ -426,8 +424,8 @@ def run_exact(
     for overrides, weight in _randomness_branches(topology, make_programs):
         programs = make_programs()
         contexts, arena, _ = _execute_rounds(
-            topology, programs, rounds, seed=0, inputs=inputs,
-            classical_only=False, randomness_overrides=overrides,
+            topology, programs, rounds, inputs, False,
+            lambda u, nbits: overrides.get(u, ()),
         )
         qids = _flagged_qubits(contexts, order, arena)
         keys, probs = (

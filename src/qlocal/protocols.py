@@ -19,7 +19,7 @@ from itertools import product
 
 from .errors import ProtocolError
 from .network import Message, NodeProgram, role_of
-from .statevector import graph_state_gates, h, s_power
+from .statevector import graph_state_gates, h, s
 from .topology import (
     Topology,
     build_gd,
@@ -34,23 +34,19 @@ from .topology import (
 class GraphStateProgram(NodeProgram):
     """Distributed 2-round subgraph graph-state construction.
 
-    The indicator bit comes from the constructor or, if None, from the
-    node's input byte. After the run, `self.qubit` is the node's share of
-    the constructed state (|+> for unselected nodes).
+    The indicator bit is the node's LOCAL-model input: the first byte of
+    `ctx.input`. After the run, `self.qubit` is the node's share of the
+    constructed state (|+> for unselected nodes).
     """
 
-    def __init__(self, c=None):
-        self._c_arg = c
+    def _indicator(self, ctx):
+        if ctx.input is None:
+            raise ProtocolError(f"node {ctx.self_id!r} got no subgraph indicator bit")
+        return ctx.input[0]
 
     def init(self, ctx):
         self.ctx = ctx
-        c = self._c_arg
-        if c is None:
-            if ctx.input is None:
-                raise ProtocolError(
-                    f"node {ctx.self_id!r} got no subgraph indicator bit"
-                )
-            c = ctx.input[0]
+        c = self._indicator(ctx)
         if c not in (0, 1):
             raise ValueError("indicator must be a bit")
         self.c = int(c)
@@ -127,8 +123,8 @@ class RelationProgram(GraphStateSampleProgram):
     with H and a measurement.
     """
 
-    def __init__(self):
-        super().__init__(c=1)
+    def _indicator(self, ctx):
+        return 1
 
     def _input_bit(self, ctx):
         if ctx.input is None:
@@ -158,8 +154,8 @@ class RelationProgram(GraphStateSampleProgram):
         return super().round(t, inbox)
 
     def _after_disentangle(self):
-        if self.role == "corner":
-            self.ctx.apply("S_POWER", self.qubit, exponent=self.b)
+        if self.role == "corner" and self.b:
+            self.ctx.apply("S", self.qubit)
         super()._after_disentangle()
 
     def finalize(self, measured):
@@ -217,7 +213,7 @@ def process_gates(d: int, b) -> list:
     tests run it densely as the reference."""
     b = _check_bits(b)
     gates = graph_state_gates(build_gd(d))
-    gates += [s_power(bit, d * i) for i, bit in enumerate(b)]
+    gates += [s(d * i) for i, bit in enumerate(b) if bit]
     gates += [h(q) for q in range(3 * d)]
     return gates
 
@@ -396,6 +392,21 @@ def affine_strategy_programs(d: int, strategy: AffineStrategy, rounds: int) -> d
     some nonconstant term cannot reach its carrier within the round budget
     (the input bit travels one hop from the input node first).
     """
+    carriers = _checked_carriers(d, strategy, rounds)
+    programs = {}
+    for u in range(3 * d):
+        const, coeffs = carriers.get(u, (0, {}))
+        programs[u] = AffineTermProgram(rounds, const, coeffs)
+    for i, w in enumerate(input_nodes(d)):
+        programs[w] = InputFloodProgram(rounds, i)
+    return programs
+
+
+# k-copies builds one strategy's programs per copy and input; the cached
+# table is only read (`AffineTermProgram` copies its coefficients).
+@lru_cache(maxsize=1024)
+def _checked_carriers(d: int, strategy: AffineStrategy, rounds: int) -> dict:
+    """`affine_carrier_terms`, once `affine_strategy_programs`' checks pass."""
     if rounds > d // 2:
         raise ValueError(f"rounds={rounds} exceeds d/2={d // 2}")
     if not strategy.is_admissible():
@@ -409,13 +420,7 @@ def affine_strategy_programs(d: int, strategy: AffineStrategy, rounds: int) -> d
                     f"node v_{node} cannot see input {origin} within "
                     f"{rounds} rounds"
                 )
-    programs = {}
-    for u in range(3 * d):
-        const, coeffs = carriers.get(u, (0, {}))
-        programs[u] = AffineTermProgram(rounds, const, coeffs)
-    for i, w in enumerate(input_nodes(d)):
-        programs[w] = InputFloodProgram(rounds, i)
-    return programs
+    return carriers
 
 
 def affine_output_string(d: int, strategy: AffineStrategy, b) -> tuple:

@@ -114,7 +114,7 @@ class PathSum:
         elif gate.kind == "CNOT":
             (ma, ca), (mb, cb) = (self.forms[q] for q in gate.targets)
             self.forms[gate.targets[1]] = (ma ^ mb, ca ^ cb)
-        elif gate.phase != 1:  # S_POWER with exponent 0 is the identity
+        else:
             self._add_product(
                 _EXPONENT[gate.phase], [self.forms[q] for q in gate.targets]
             )

@@ -108,9 +108,9 @@ class Tableau:
     def apply(self, gate):
         """Apply one `statevector.Gate` to every generator at once.
 
-        A phase gate is read off its arity and phase: phase 1 is the
-        identity, a 1-qubit phase i is S and a 2-qubit phase -1 is CZ; any
-        other phase gate is not Clifford.
+        A phase gate is read off its arity and phase: a 1-qubit phase i is
+        S and a 2-qubit phase -1 is CZ; any other phase gate is not
+        Clifford.
         """
         for q in gate.targets:
             if not (0 <= q < self.n):
@@ -125,8 +125,6 @@ class Tableau:
             r ^= x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1)
             x[:, b] ^= x[:, a]
             z[:, a] ^= z[:, b]
-        elif gate.phase == 1:
-            return
         elif gate.phase == 1j and len(gate.targets) == 1:
             (q,) = gate.targets
             r ^= x[:, q] & z[:, q]

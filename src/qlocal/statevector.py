@@ -1,8 +1,8 @@
 """Exact dense statevector engine: the reference the tests compare the
 arena and the stabilizer tableau against, capped at DEFAULT_MAX_QUBITS.
 
-Gate set: the kinds in `GATES` (H, CNOT and the phase gates S, S_POWER, CZ
-and CS). Qubit q corresponds to axis q of the amplitude tensor reshaped to
+Gate set: the kinds in `GATES` (H, CNOT and the phase gates S, CZ and
+CS). Qubit q corresponds to axis q of the amplitude tensor reshaped to
 [2]*n, i.e. bit q of a basis index read in big-endian order.
 """
 from __future__ import annotations
@@ -24,12 +24,11 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # The one gate table both engines dispatch on: kind -> (arity, phase). A
 # phase gate multiplies every basis state whose target bits are all 1 by its
-# phase; H and CNOT have none. S_POWER is S raised to a classical bit.
+# phase; H and CNOT have none.
 GATES = {
     "H": (1, None),
     "CNOT": (2, None),
     "S": (1, 1j),
-    "S_POWER": (1, 1j),
     "CZ": (2, -1.0),
     "CS": (2, 1j),
 }
@@ -39,7 +38,6 @@ GATES = {
 class Gate:
     kind: str
     targets: tuple
-    exponent: int = 1
 
     def __post_init__(self):
         if self.kind not in GATES:
@@ -51,18 +49,10 @@ class Gate:
             raise ValueError(f"{self.kind} expects {arity} targets")
         if len(set(targets)) != len(targets):
             raise ValueError(f"duplicate targets in {self.kind}")
-        if self.kind == "S_POWER":
-            if self.exponent not in (0, 1):
-                raise ValueError("S_POWER exponent must be a bit")
-        elif self.exponent != 1:
-            raise ValueError(f"{self.kind} takes no exponent")
 
     @property
     def phase(self):
-        """The phase of a phase gate (1 for S_POWER with exponent 0), or
-        None for H and CNOT."""
-        if self.kind == "S_POWER" and not self.exponent:
-            return 1
+        """The phase of a phase gate, or None for H and CNOT."""
         return GATES[self.kind][1]
 
 
@@ -72,10 +62,6 @@ def h(q) -> Gate:
 
 def s(q) -> Gate:
     return Gate("S", (q,))
-
-
-def s_power(bit, q) -> Gate:
-    return Gate("S_POWER", (q,), exponent=bit)
 
 
 def cnot(control, target) -> Gate:

@@ -15,6 +15,8 @@ def test_probabilities_must_sum_to_one():
         dist({(0, 0): 0.5})
     with pytest.raises(ValueError):
         dist({(0, 0): 1.5, (1, 1): -0.5})
+    with pytest.raises(ValueError):
+        OutcomeDistribution({"a": float("nan")}, space=())
 
 
 def test_tv_examples():

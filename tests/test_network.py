@@ -102,8 +102,7 @@ def test_gate_on_unowned_qubit_raises():
     assert err.value.node == 0
 
 
-@pytest.mark.parametrize("kind,arity", [("H", 2), ("S", 2), ("S_POWER", 2),
-                                        ("CNOT", 1), ("CZ", 1)])
+@pytest.mark.parametrize("kind,arity", [("H", 2), ("S", 2), ("CNOT", 1), ("CZ", 1)])
 def test_gate_with_wrong_target_count_rejected(kind, arity):
     class Misuse(NodeProgram):
         def round(self, t, inbox):
@@ -130,13 +129,7 @@ _QUBITS = 5
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.sampled_from(sorted(GATES)).flatmap(
-            lambda kind: st.tuples(
-                st.just(kind),
-                st.permutations(range(_QUBITS)),
-                st.integers(0, 1) if kind == "S_POWER" else st.just(1),
-            )
-        ),
+        st.tuples(st.sampled_from(sorted(GATES)), st.permutations(range(_QUBITS))),
         max_size=30,
     )
 )
@@ -144,19 +137,12 @@ def test_arena_agrees_with_dense_engine(ops):
     arena = QuantumArena()
     qids = [arena.create("u") for _ in range(_QUBITS)]
     state = new_state(_QUBITS)
-    for kind, order, exponent in ops:
+    for kind, order in ops:
         targets = order[:GATES[kind][0]]
-        arena.apply("u", 0, kind, [qids[q] for q in targets], exponent)
-        state = apply_gate(state, Gate(kind, targets, exponent))
+        arena.apply("u", 0, kind, [qids[q] for q in targets])
+        state = apply_gate(state, Gate(kind, targets))
     assert np.allclose(arena.state.dense_vector(qids), state.amplitudes,
                        rtol=0, atol=1e-12)
-
-
-def test_exponent_on_a_gate_without_one_rejected():
-    arena = QuantumArena()
-    q = arena.create(0)
-    with pytest.raises(ValueError):
-        arena.apply(0, 0, "S", (q,), exponent=0)
 
 
 _FUZZ_ROUNDS = 2
@@ -587,6 +573,20 @@ def test_run_exact_enumerates_randomness():
     assert len(dist) == 4
     for p in dist.entries.values():
         assert abs(p - 0.25) < 1e-12
+
+
+def test_run_exact_rejects_a_build_that_changes_its_randomness_width():
+    # the probe build declares no bits and every later build one: the node
+    # must not run on bits that no branch enumerated
+    widths = itertools.chain([0], itertools.repeat(1))
+
+    def make_programs():
+        coin = CoinFlip()
+        coin.randomness_bits = next(widths)
+        return {0: coin}
+
+    with pytest.raises(ValueError, match="random bits"):
+        run_exact(Topology([0], []), make_programs, rounds=0)
 
 
 def test_run_sampled_matches_single_runs_shape():

@@ -13,16 +13,12 @@ OPTIONS = {
     "qlocal.cli.main(argv)",
     "qlocal.network.Message.__init__(payload)",
     "qlocal.network.Message.__init__(qubits)",
-    "qlocal.network.NodeContext.apply(exponent)",
-    "qlocal.network.QuantumArena.apply(exponent)",
     "qlocal.network.run(classical_only)",
     "qlocal.network.run(inputs)",
     "qlocal.network.run(seed)",
     "qlocal.network.run_exact(inputs)",
     "qlocal.network.run_sampled(inputs)",
     "qlocal.network.run_sampled(seed)",
-    "qlocal.protocols.GraphStateProgram.__init__(c)",
-    "qlocal.statevector.Gate.__init__(exponent)",
     "qlocal.topology.Topology.__init__(allow_disconnected)",
 }
 

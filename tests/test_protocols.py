@@ -36,8 +36,9 @@ TRIANGLE = Topology(range(3), [(0, 1), (1, 2), (2, 0)])
 def _dense_fidelity(topology, assignment, program=GraphStateProgram):
     """The built state, read out of the arena densely, against the graph
     state of the kept edges built centrally by the dense engine."""
-    programs = {u: program(assignment[u]) for u in topology.nodes}
-    result = run(topology, programs, rounds=2)
+    programs = {u: program() for u in topology.nodes}
+    inputs = {u: bytes([assignment[u]]) for u in topology.nodes}
+    result = run(topology, programs, rounds=2, inputs=inputs)
     n = topology.num_nodes
     built = result.arena.state.dense_vector([programs[u].qubit for u in topology.nodes])
     kept = Topology(
@@ -203,9 +204,10 @@ class _KeepsRelaysEntangled(GraphStateProgram):
 
 
 def test_discarding_an_entangled_relay_raises():
-    programs = {u: _KeepsRelaysEntangled(1) for u in TRIANGLE.nodes}
+    programs = {u: _KeepsRelaysEntangled() for u in TRIANGLE.nodes}
     with pytest.raises(EntangledDisposalError):
-        run(TRIANGLE, programs, rounds=2)
+        run(TRIANGLE, programs, rounds=2,
+            inputs=dict.fromkeys(TRIANGLE.nodes, b"\x01"))
 
 
 @pytest.mark.parametrize("input_program", [GraphStateProgram, NodeProgram])
@@ -241,9 +243,9 @@ class _BadNeighbour(NodeProgram):
                                    "empty-payload"])
 def test_graph_state_node_rejects_a_broken_relay_exchange(fault):
     topo = Topology([0, 1], [(0, 1)])
-    programs = {0: GraphStateProgram(c=1), 1: _BadNeighbour(fault)}
+    programs = {0: GraphStateProgram(), 1: _BadNeighbour(fault)}
     with pytest.raises(ProtocolError, match="^node 0 "):
-        run(topo, programs, rounds=2)
+        run(topo, programs, rounds=2, inputs={0: b"\x01"})
 
 
 def test_relation_inputs_shape():

@@ -64,8 +64,7 @@ def circuits(draw, kinds=tuple(sorted(GATES))):
         if arity > n:
             continue
         targets = draw(st.permutations(range(n)))[:arity]
-        exponent = draw(st.integers(0, 1)) if kind == "S_POWER" else 1
-        gates.append(Gate(kind, targets, exponent))
+        gates.append(Gate(kind, targets))
         if kind == "CS" and paired:
             gates.append(cs(*targets[::-1]))
     qids = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]

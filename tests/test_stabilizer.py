@@ -9,6 +9,7 @@ from qlocal.errors import NonCliffordError
 from qlocal.protocols import process_gates
 from qlocal.stabilizer import AffineSupport, Tableau, circuit_support
 from qlocal.statevector import (
+    GATES,
     PRUNE_TOL,
     Gate,
     cs,
@@ -19,7 +20,18 @@ from qlocal.statevector import (
 from qlocal.verify import enumerate_support
 
 TRIPLES = list(itertools.product((0, 1), repeat=3))
-CLIFFORD_KINDS = ["H", "S", "S_POWER", "CZ", "CNOT"]
+
+
+def _is_clifford(kind):
+    try:
+        Tableau(2).apply(Gate(kind, tuple(range(GATES[kind][0]))))
+    except NonCliffordError:
+        return False
+    return True
+
+
+# read off the gate table, so a new Clifford kind cannot skip the dense check
+CLIFFORD_KINDS = [kind for kind in sorted(GATES) if _is_clifford(kind)]
 
 
 def _check_matrix(support):
@@ -104,13 +116,10 @@ def _random_clifford(seed, n, length):
     rng = np.random.default_rng(seed)
     gates = []
     for kind in rng.choice(CLIFFORD_KINDS, size=length):
-        if kind in ("CZ", "CNOT"):
-            if n > 1:
-                a, b = rng.choice(n, size=2, replace=False)
-                gates.append(Gate(kind, (int(a), int(b))))
-        else:
-            exponent = int(rng.integers(2)) if kind == "S_POWER" else 1
-            gates.append(Gate(kind, (int(rng.integers(n)),), exponent))
+        arity = GATES[kind][0]
+        if arity <= n:
+            targets = rng.choice(n, size=arity, replace=False)
+            gates.append(Gate(kind, tuple(int(q) for q in targets)))
     return gates
 
 
