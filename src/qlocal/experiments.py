@@ -100,8 +100,8 @@ def subgraph_fidelity_case(topology: Topology, assignment: dict):
             arena.apply(owner, 2, "CZ", [qubit[u] for u in e])
     for q in qubit.values():
         arena.apply(owner, 2, "H", [q])
-    origin, columns = arena.state.generator_law(list(qubit.values()))
-    fid = 0.0 if origin else 2.0 ** -len(columns)
+    law = arena.state.generator_law(list(qubit.values()))
+    fid = 0.0 if law.origin else 2.0 ** -law.dim
     return fid, result.message_rounds
 
 

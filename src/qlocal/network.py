@@ -22,6 +22,7 @@ from functools import partial
 
 import numpy as np
 
+from .affine import _bit_rows
 from .distributions import OutcomeDistribution
 from .errors import (
     LocalityError,
@@ -132,19 +133,18 @@ class QuantumArena:
 
     def sample_over(self, qids, shots, rng) -> np.ndarray:
         """`shots` draws of the given qubits' terminal measurement: a
-        shots x len(qids) bit matrix, qids[j] in column j. A stabilizer law
-        is drawn as origin xor r B, for r uniform bits over its columns B;
-        any other law key by key from its enumeration."""
+        shots x len(qids) bit matrix, qids[j] in column j. A stabilizer law,
+        an `AffineSupport`, is drawn as origin xor r B, for r uniform bits
+        over its columns B; any other law key by key from its enumeration."""
         law = self.state.generator_law(qids)
         if law is None:
             keys, probs = self.state.distribution_over(qids)
             picks = keys[rng.choice(len(keys), p=probs, size=shots)]
             return _bit_rows(picks.tolist(), len(qids))
-        origin, columns = law
-        r = rng.integers(2, size=(shots, len(columns)), dtype=np.uint8)
+        r = rng.integers(2, size=(shots, law.dim), dtype=np.uint8)
         # float32 sums of fewer than 2^24 ones are exact, and BLAS is fast
-        x = (r.astype(np.float32) @ _bit_rows(columns, len(qids))) % 2
-        return x.astype(np.uint8) ^ _bit_rows([origin], len(qids))
+        x = (r.astype(np.float32) @ _bit_rows(law.columns, len(qids))) % 2
+        return x.astype(np.uint8) ^ _bit_rows([law.origin], len(qids))
 
 
 class NodeContext:
@@ -283,15 +283,6 @@ def _execute_rounds(
         arena.transfer(moves)
         inboxes = new_inboxes
     return contexts, arena, len(sent_in)
-
-
-def _bit_rows(values, width) -> np.ndarray:
-    """One uint8 row per nonnegative Python int, however wide: bit j of the
-    int in column j."""
-    size = (width + 7) // 8
-    raw = b"".join(v.to_bytes(size, "little") for v in values)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size)
-    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
 
 
 def _flagged_qubits(contexts, order, arena) -> list:

@@ -446,15 +446,9 @@ def all_affine_strategies():
         for right in product((0, 1), repeat=3):
             for bottom in product((0, 1), repeat=3):
                 # constraint forces the left coefficients and ties constants
-                left_b0 = right[1]
-                left_b2 = bottom[2]
-                left_const = right[0] ^ bottom[0]
-                if right[2] != bottom[1]:
-                    continue
-                strategy = AffineStrategy(
-                    even, right, bottom, (left_const, left_b0, left_b2)
-                )
-                yield strategy
+                if right[2] == bottom[1]:
+                    left = (right[0] ^ bottom[0], right[1], bottom[2])
+                    yield AffineStrategy(even, right, bottom, left)
 
 
 # --- derandomization of function-computing protocols ------------------------

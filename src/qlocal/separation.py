@@ -114,11 +114,6 @@ def _visible_strategies(d: int, radius: int):
             yield strategy, carriers
 
 
-def _bias_grid():
-    # steps of 1/22, which puts both 5/11 and 6/11 on the grid
-    return np.arange(23) / 22.0
-
-
 def min_tv_affine_adversary(d: int, T: int):
     """Minimum total variation distance between the target law and the
     lower bound's classical adversary family at round budget T.
@@ -140,7 +135,7 @@ def min_tv_affine_adversary(d: int, T: int):
         raise ValueError(f"T={T} exceeds d/4={d // 4}")
     # Γ puts 2^-dim/8 on each string of S_b, so each branch has mass 1/8
     supports = [(b, enumerate_support(d, b)) for b in _B_TRIPLES]
-    grid = _bias_grid()
+    grid = np.arange(23) / 22.0  # steps of 1/22: 5/11 and 6/11 are on it
     b_arr = np.array(_B_TRIPLES, dtype=float)  # (8, 3)
     # q[g, j] = probability the g-th bias combo assigns to triple j
     combos = np.stack(

@@ -7,8 +7,8 @@ each monomial's variable mask to its coefficient mod 4.
 
 A measurement law is read off the sum. When Q is Clifford, Amy's [HH] and
 [omega] rules sum variables out of a copy until the forms have full column
-rank; the law is then uniform on origin xor span(columns), which callers
-sample without listing it. Any other Q is summed path by path."""
+rank; the law is then an `affine.AffineSupport`, which callers sample without
+listing it. Any other Q is summed over the paths that `affine._span` lists."""
 from __future__ import annotations
 
 from functools import reduce
@@ -17,11 +17,9 @@ from operator import or_, xor
 
 import numpy as np
 
-from .errors import EntangledDisposalError, ResourceLimitError
+from .affine import AffineSupport, _span
+from .errors import EntangledDisposalError
 
-# A law enumerates at most 2^MAX_ENUMERATED_BITS outcomes, and a sum that is
-# not a stabilizer state as many paths; the d=8 relation law has 2^23.
-MAX_ENUMERATED_BITS = 23
 _EXPONENT = {1j: 1, -1: 2}  # a gate's phase i^e -> e
 _UNITS = np.array([1, 1j, -1, -1j])
 
@@ -32,22 +30,6 @@ def _bits(mask):
         low = mask & -mask
         yield low
         mask ^= low
-
-
-def _span(x0, basis, num_qubits, what) -> np.ndarray:
-    """x0 xor every subset sum of basis, as int64 keys over num_qubits
-    qubits: basis entry i is in the keys whose index has bit i set."""
-    if num_qubits > 62:
-        raise ResourceLimitError("too many qubits for joint distribution keys")
-    if len(basis) > MAX_ENUMERATED_BITS:
-        raise ResourceLimitError(
-            f"2^{len(basis)} {what} exceed the enumeration cap of "
-            f"2^{MAX_ENUMERATED_BITS}"
-        )
-    keys = np.array([x0], dtype=np.int64)
-    for b in basis:
-        keys = np.concatenate([keys, keys ^ b])
-    return keys
 
 
 def _columns(forms) -> dict:
@@ -189,12 +171,8 @@ class PathSum:
         return list(_bits(reduce(or_, masks, 0)))
 
     def generator_law(self, qids):
-        """The law of the given qubits of a stabilizer state, as (origin,
-        columns): uniform on origin xor the span of the columns, with
-        qids[j] at bit j. Each column's highest bit is set in no other
-        column and not in origin, and the columns come by that bit
-        ascending, so len(columns) is the law's dimension. None unless Q
-        is Clifford."""
+        """The law of the given qubits of a stabilizer state, as an
+        `AffineSupport` with qids[j] at bit j; None unless Q is Clifford."""
         if not all(
             m.bit_count() < 2 or (m.bit_count() == 2 and c == 2)
             for m, c in self.q.items()
@@ -206,10 +184,9 @@ class PathSum:
         forms = [work.forms[qid] for qid in qids]
         origin = sum(const << j for j, (_, const) in enumerate(forms))
         rows = _reduced(_columns(forms).values())
-        for lead, row in rows.items():
-            if origin & lead:
-                origin ^= row
-        return origin, [rows[lead] for lead in sorted(rows)]
+        origin ^= reduce(xor, (r for lead, r in rows.items() if origin & lead), 0)
+        # a tuple of a list: growing one from a generator fragmented the heap
+        return AffineSupport(len(qids), origin, tuple([rows[k] for k in sorted(rows)]))
 
     def _reduce(self):
         """Rewrite the sum, keeping the law of every subset of qubits, until
@@ -262,9 +239,8 @@ class PathSum:
         marginalized over."""
         law = self.generator_law(qids)
         if law is not None:
-            origin, columns = law
-            keys = _span(origin, columns, len(qids), "outcomes")
-            return keys, np.full(len(keys), 2.0 ** -len(columns))
+            keys = law.keys()
+            return keys, np.full(len(keys), 2.0 ** -law.dim)
         rest = [q for q in self.forms if q not in qids]
         keys, amps = self._amplitudes(list(qids) + rest)
         measured = keys & ((1 << len(qids)) - 1)

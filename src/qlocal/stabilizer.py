@@ -5,93 +5,15 @@ with sign bits r (Aaronson-Gottesman, arXiv:quant-ph/0406196); destabilizers
 are not kept, since nothing here measures mid-circuit. The support of a
 computational-basis measurement is an affine subspace: Gaussian elimination
 on the x block leaves the Z-only stabilizers, and each one, with its sign,
-is a parity check that every outcome string satisfies.
+is a parity check that every outcome string satisfies (qubit q at bit q of
+its mask), which `AffineSupport.from_checks` turns into generators.
 """
 from __future__ import annotations
 
-from collections.abc import Set
-
 import numpy as np
 
+from .affine import AffineSupport
 from .errors import NonCliffordError
-
-# bytes.translate tables between the bits 0/1 and the characters "0"/"1"; an
-# entry other than a bit maps to "x", which int() rejects.
-_TO_CHARS = b"01" + b"x" * 254
-_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-class AffineSupport(Set):
-    """The bit tuples x of length `num_bits` with x . mask = sign (mod 2)
-    for every (mask, sign) in `checks`. A mask packs a tuple big-endian:
-    entry i of the tuple is bit num_bits-1-i, as in a dense basis index.
-    It holds 2^dim tuples; past dim 62, `len()` overflows."""
-
-    def __init__(self, num_bits: int, checks):
-        self.num_bits = num_bits
-        self.checks = _reduced(checks)
-        self.dim = num_bits - len(self.checks)
-
-    def __contains__(self, outcome):
-        try:
-            if len(outcome) != self.num_bits:
-                return False
-            chars = bytes(outcome).translate(_TO_CHARS)
-            if len(chars) != self.num_bits:  # a buffer of wider integers
-                return False
-            packed = int(chars, 2)
-        except (TypeError, ValueError):
-            return False
-        for mask, sign in self.checks:
-            if (packed & mask).bit_count() & 1 != sign:
-                return False
-        return True
-
-    def __len__(self):
-        return 1 << self.dim
-
-    def origin_and_basis(self):
-        """(x0, basis) as packed masks: the set is x0 xor every subset sum
-        of basis. x0 has every free bit 0, and entry i's lowest set bit is
-        the i-th lowest free bit, which no other entry sets."""
-        leads = {1 << (m.bit_length() - 1): (m, s) for m, s in self.checks}
-        x = sum(lead for lead, (_, s) in leads.items() if s)
-        basis = [
-            free + sum(lead for lead, (m, _) in leads.items() if m & free)
-            for free in (1 << i for i in range(self.num_bits))
-            if free not in leads
-        ]
-        return x, basis
-
-    def __iter__(self):
-        """Gray-code order: x0, then one basis entry added per step."""
-        x, basis = self.origin_and_basis()
-        width = f"0{self.num_bits}b"
-        yield tuple(format(x, width).encode().translate(_TO_BITS))
-        for m in range(1, 1 << len(basis)):
-            x ^= basis[(m & -m).bit_length() - 1]
-            yield tuple(format(x, width).encode().translate(_TO_BITS))
-
-
-def _reduced(checks) -> tuple:
-    """The checks in reduced row-echelon form over GF(2): each row's leading
-    bit is set in that row only."""
-    rows = []
-    for mask, sign in checks:
-        for lead_mask, lead_sign in rows:
-            if mask & (1 << (lead_mask.bit_length() - 1)):
-                mask ^= lead_mask
-                sign ^= lead_sign
-        if not mask:
-            if sign:
-                raise ValueError("inconsistent parity checks")
-            continue
-        lead = 1 << (mask.bit_length() - 1)
-        rows = [
-            (m ^ mask, s ^ sign) if m & lead else (m, s) for m, s in rows
-        ]
-        rows.append((mask, sign))
-    return tuple(rows)
 
 
 class Tableau:
@@ -138,7 +60,8 @@ class Tableau:
             raise NonCliffordError(f"{gate.kind} is not a Clifford gate")
 
     def support(self) -> AffineSupport:
-        """The affine subspace of computational-basis outcomes."""
+        """The law of the computational-basis outcomes, uniform on an
+        affine subspace."""
         n = self.n
         x, z, r = self.x.copy(), self.z.copy(), self.r.copy()
         rank = 0
@@ -151,14 +74,8 @@ class Tableau:
                 block[[rank, p]] = block[[p, rank]]
             _multiply_rows(x, z, r, rows[1:], rank)
             rank += 1
-        weights = 1 << np.arange(n - 1, -1, -1, dtype=object)
-        return AffineSupport(
-            n,
-            [
-                (int(row @ weights), int(sign))
-                for row, sign in zip(z[rank:].astype(object), r[rank:])
-            ],
-        )
+        masks = z[rank:].astype(object) @ (1 << np.arange(n, dtype=object))
+        return AffineSupport.from_checks(n, zip(masks, r[rank:].tolist()))
 
 
 def _multiply_rows(x, z, r, targets, pivot):

@@ -15,13 +15,14 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+from .affine import AffineSupport
 from .protocols import (
     AffineStrategy,
     affine_output_string,
     all_affine_strategies,
     process_gates,
 )
-from .stabilizer import AffineSupport, circuit_support
+from .stabilizer import circuit_support
 from .topology import ring_partition
 
 
@@ -98,9 +99,9 @@ def default_cache_dir() -> Path:
 
 
 def enumerate_support(d: int, b) -> AffineSupport:
-    """The outcome strings of the ring process on input b: an affine
-    subspace of GF(2)^{3d} read off a stabilizer tableau run of the
-    process's circuit, memoized in memory per (d, b)."""
+    """The law of the ring process's outcome strings on input b, in the
+    arena's `generator_law` type, read off a stabilizer tableau run of the
+    process's circuit and memoized in memory per (d, b)."""
     b = tuple(b)
     if (d, b) not in _SUPPORT_CACHE:
         _SUPPORT_CACHE[d, b] = circuit_support(3 * d, process_gates(d, b))
@@ -173,10 +174,8 @@ def best_affine_success():
     return Fraction(best_count, 8), best
 
 
-def _strategy_weight(strategy):
-    return sum(strategy.even[1:]) + sum(strategy.right[1:]) + sum(
-        strategy.bottom[1:]
-    ) + sum(strategy.left[1:])
+def _strategy_weight(s):
+    return sum(sum(c[1:]) for c in (s.even, s.right, s.bottom, s.left))
 
 
 def strategy_success_by_input(d: int, strategy: AffineStrategy) -> dict:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qlocal import network, sparse
+from qlocal import affine, network
 from qlocal.cli import build_parser, format_records, format_table, main
 
 
@@ -65,12 +65,14 @@ def test_odd_d_is_usage_error(capsys):
 
 # No run at the default caps is refused any more: relation-validity and
 # subgraph-fidelity draw from generator laws at any d. A lowered cap makes
-# gamma-exact at d=2, which enumerates its law, a refused run.
+# gamma-exact at d=2, which enumerates its laws, a refused run: the cap lives
+# with the affine law's enumeration, which Γ's supports and the protocol's
+# branch laws both go through.
 @pytest.mark.parametrize(
     "module,cap,value,message",
     [
         # a d=2 branch law has up to 2^5 outcomes
-        (sparse, "MAX_ENUMERATED_BITS", 4,
+        (affine, "MAX_ENUMERATED_BITS", 4,
          "2^5 outcomes exceed the enumeration cap of 2^4"),
         # the three input nodes draw one bit each
         (network, "MAX_RANDOM_BITS", 2,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlocal.affine import AffineSupport
 from qlocal.errors import (
     LocalityError,
     ModelViolationError,
@@ -688,11 +689,10 @@ def test_a_uniform_law_is_drawn_uniformly():
     assert probs.tolist() == [0.25] * 4
     _within_binomial_tolerance(keys, probs, drawn)
     # shot i is origin xor the columns its row of uniform bits r selects
-    origin, columns = law
-    assert (origin, columns) == (0, [0b01, 0b10])
+    assert law == AffineSupport(2, 0, (0b01, 0b10))
     r = np.random.default_rng(3).integers(2, size=(4000, 2), dtype=np.uint8)
     replay = [
-        origin ^ reduce(xor, (c for c, bit in zip(columns, row) if bit), 0)
+        reduce(xor, (c for c, bit in zip(law.columns, row) if bit), law.origin)
         for row in r.tolist()
     ]
     assert drawn.tolist() == replay

@@ -1,9 +1,11 @@
 """The path-sum state against the dense engine: laws on random circuits,
-generator laws on random Clifford circuits, key bit order, the circuits whose phase bookkeeping is easy to get wrong,
-which discards it accepts, and its enumeration cap; and H, which sums a
-variable out where it can, against the plain rule that never does, bit for
-bit, on 64-qubit states measured up to the highest key bit."""
+generator laws on random Clifford circuits (and against the stabilizer
+tableau's support), key bit order, the circuits whose phase bookkeeping is
+easy to get wrong, which discards it accepts, and its enumeration cap; and
+H, which sums a variable out where it can, against the plain rule that never
+does, bit for bit, on 64-qubit states measured up to the highest key bit."""
 import copy
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlocal.affine import MAX_ENUMERATED_BITS
 from qlocal.errors import EntangledDisposalError, ResourceLimitError
-from qlocal.sparse import MAX_ENUMERATED_BITS, PathSum
+from qlocal.sparse import PathSum
+from qlocal.stabilizer import circuit_support
 from qlocal.statevector import GATES, Gate, cnot, cs, cz, h, run_gates, s
 
 # 64 live qubits, one more than the old slot arena held. A key holds 62
@@ -78,7 +82,7 @@ def _check_generator_law(state, dense, qids):
     law = state.generator_law(qids)
     if law is None:
         return
-    origin, columns = law
+    origin, columns = law.origin, law.columns
     leads = [1 << (c.bit_length() - 1) for c in columns]
     assert leads == sorted(set(leads))
     for lead in leads:
@@ -110,6 +114,21 @@ def test_generator_law_equals_the_dense_marginal(circuit):
     state = _path_sum(n, gates)
     assert state.generator_law(qids) is not None
     _check_generator_law(state, _dense_law(n, gates, qids), qids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(kinds=("CNOT", "CZ", "H", "S")))
+def test_generator_law_is_the_tableau_support(circuit):
+    # the two oracles head to head: the path sum's reduction and the
+    # tableau's checks land on one reduced form
+    n, gates, _ = circuit
+    law = _path_sum(n, gates).generator_law(list(range(n)))
+    assert law == circuit_support(n, gates)
+    # membership reads the checks, the members come from the columns
+    members = set(law)
+    assert {x for x in itertools.product((0, 1), repeat=n) if x in law} == members
+    assert len(members) == len(law)
+    assert len(law.checks) == law.num_bits - law.dim
 
 
 def test_a_non_clifford_state_is_summed_path_by_path():

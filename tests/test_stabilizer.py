@@ -38,7 +38,7 @@ def _check_matrix(support):
     """The parity checks as a 0/1 matrix, column i for tuple entry i, and
     their right-hand sides."""
     n = support.num_bits
-    rows = [[(mask >> (n - 1 - i)) & 1 for i in range(n)] for mask, _ in support.checks]
+    rows = [[(mask >> i) & 1 for i in range(n)] for mask, _ in support.checks]
     signs = [sign for _, sign in support.checks]
     return np.array(rows, dtype=np.int64).reshape(-1, n), np.array(signs, dtype=np.int64)
 
@@ -96,12 +96,15 @@ def test_membership_rejects_malformed_strings():
 
 
 def test_reduced_checks_keep_the_solution_set():
-    # x0 ^ x1 = 1 and x1 ^ x2 = 0, given redundantly and out of order
-    checks = [(0b011, 0), (0b110, 1), (0b101, 1)]
-    support = AffineSupport(3, checks)
+    # x0 ^ x1 = 1 and x1 ^ x2 = 0, given redundantly and out of order; a
+    # mask holds entry i at bit i
+    checks = [(0b011, 1), (0b110, 0), (0b101, 1)]
+    support = AffineSupport.from_checks(3, checks)
     assert set(support) == {(0, 1, 1), (1, 0, 0)}
+    assert support == AffineSupport(3, 0b001, (0b111,))
+    assert support.checks == ((0b101, 1), (0b110, 0))
     with pytest.raises(ValueError):
-        AffineSupport(3, checks + [(0b101, 0)])
+        AffineSupport.from_checks(3, checks + [(0b101, 0)])
 
 
 def test_cs_is_rejected():

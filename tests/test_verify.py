@@ -114,7 +114,7 @@ def test_support_closed_under_side_reflection_when_b1_equals_b2():
     reflect = lambda x: tuple(x[(n - i) % n] for i in range(n))
     for b in [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]:
         sup = enumerate_support(d, b)
-        assert {reflect(x) for x in sup} == sup
+        assert {reflect(x) for x in sup} == set(sup)
 
 
 def test_is_valid_reports():
