@@ -36,14 +36,7 @@ from .separation import (
     min_tv_affine_adversary,
     sampling_exact_law,
 )
-from .statevector import (
-    Gate,
-    StateVector,
-    apply_gate,
-    exact_distribution,
-    fidelity,
-    new_state,
-)
+from .statevector import Gate
 from .topology import (
     Topology,
     build_gd,

@@ -6,6 +6,7 @@ compare with ==."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,19 +62,18 @@ class AffineSupport:
     origin: int
     columns: tuple
 
-    def __post_init__(self):
+    @cached_property
+    def checks(self) -> tuple:
         leads = {1 << (c.bit_length() - 1): c for c in self.columns}
-        masks = _complement(leads, self.num_bits)
-        checks = tuple((m, (self.origin & m).bit_count() & 1) for m in masks)
-        object.__setattr__(self, "checks", checks)
-        # Membership reads a string's bytes as one little-endian int, entry i
-        # at bit 8i, against the checks spread to match; an entry other than
-        # 0 or 1 sets a bit of _not_bits.
-        object.__setattr__(self, "_spread", [
-            (int.from_bytes(row.tobytes(), "little"), sign)
-            for row, (_, sign) in zip(_bit_rows(masks, self.num_bits), checks)])
-        object.__setattr__(
-            self, "_not_bits", int.from_bytes(b"\xfe" * self.num_bits, "little"))
+        return tuple((m, (self.origin & m).bit_count() & 1)
+                     for m in _complement(leads, self.num_bits))
+
+    @cached_property
+    def _spread(self) -> list:
+        """The checks with entry i at bit 8i, as membership reads a string."""
+        rows = _bit_rows([m for m, _ in self.checks], self.num_bits)
+        return [(int.from_bytes(row.tobytes(), "little"), sign)
+                for row, (_, sign) in zip(rows, self.checks)]
 
     @classmethod
     def from_checks(cls, num_bits, checks):
@@ -111,7 +111,7 @@ class AffineSupport:
             if (packed & mask).bit_count() & 1 != sign:
                 return False
         # not a buffer of wider integers, and no entry other than a bit
-        return len(raw) == self.num_bits and not packed & self._not_bits
+        return len(raw) == self.num_bits and not raw.translate(None, b"\0\1")
 
     def __len__(self):
         return 1 << self.dim

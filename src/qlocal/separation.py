@@ -21,7 +21,6 @@ from .protocols import (
     AffineStrategy,
     _carrier_output_string,
     affine_carrier_terms,
-    affine_output_string,
     all_affine_strategies,
     sampling_protocol_programs,
 )
@@ -71,25 +70,6 @@ def sampling_exact_law(d: int) -> OutcomeDistribution:
             raise ValueError(f"sampling outputs must be one byte each, got {record!r}")
         key = (tuple(row[3 * d:]), tuple(row[:3 * d]))
         entries[key] = entries.get(key, 0.0) + p
-    return OutcomeDistribution(entries, space=gamma_space(d))
-
-
-def adversary_gamma_law(
-    d: int, strategy: AffineStrategy, biases
-) -> OutcomeDistribution:
-    """The joint law of one family adversary: b_i ~ Bernoulli(biases[i])
-    independently, outcome string deterministic per triple."""
-    biases = tuple(float(p) for p in biases)
-    if len(biases) != 3 or any(not 0 <= p <= 1 for p in biases):
-        raise ValueError("need three bias probabilities in [0, 1]")
-    entries = {}
-    for b in _B_TRIPLES:
-        q = 1.0
-        for bit, p in zip(b, biases):
-            q *= p if bit else 1.0 - p
-        if q > 0:
-            x = affine_output_string(d, strategy, b)
-            entries[(b, x)] = entries.get((b, x), 0.0) + q
     return OutcomeDistribution(entries, space=gamma_space(d))
 
 

@@ -3,7 +3,8 @@
 |f(y)> over h path variables y (Dehaene-De Moor, arXiv:quant-ph/0304125; Amy,
 arXiv:1805.06908). A live qubit's entry of f is a GF(2) affine form: a
 variable mask (a Python int, one bit per variable) and a constant bit. Q maps
-each monomial's variable mask to its coefficient mod 4.
+each monomial's variable mask to its coefficient mod 4; a phase gate adds its
+exponent e from the table times the product of its targets' forms lifted to Z4.
 
 A measurement law is read off the sum. When Q is Clifford, Amy's [HH] and
 [omega] rules sum variables out of a copy until the forms have full column
@@ -19,8 +20,8 @@ import numpy as np
 
 from .affine import AffineSupport, _span
 from .errors import EntangledDisposalError
+from .statevector import GATES
 
-_EXPONENT = {1j: 1, -1: 2}  # a gate's phase i^e -> e
 _UNITS = np.array([1, 1j, -1, -1j])
 
 
@@ -98,7 +99,7 @@ class PathSum:
             self.forms[gate.targets[1]] = (ma ^ mb, ca ^ cb)
         else:
             self._add_product(
-                _EXPONENT[gate.phase], [self.forms[q] for q in gate.targets]
+                GATES[gate.kind][1], [self.forms[q] for q in gate.targets]
             )
 
     def _add_product(self, e, forms):
@@ -268,13 +269,3 @@ class PathSum:
         amps = np.zeros(len(keys), dtype=complex)
         np.add.at(amps, inverse, _UNITS[phase % 4])
         return keys, amps
-
-    def dense_vector(self, order) -> np.ndarray:
-        """Dense amplitudes over every live qubit, big-endian like
-        StateVector: order[0] is the highest bit of the index."""
-        if sorted(order) != sorted(self.forms):
-            raise ValueError("qid_order must cover exactly the live qubits")
-        keys, amps = self._amplitudes(list(order)[::-1])
-        out = np.zeros(1 << len(order), dtype=complex)
-        out[keys] = amps / np.linalg.norm(amps)
-        return out

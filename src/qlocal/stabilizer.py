@@ -1,4 +1,6 @@
-"""GF(2) stabilizer tableau for the Clifford kinds of `statevector.GATES`.
+"""GF(2) stabilizer tableau for the Clifford kinds of `statevector.GATES`:
+H, CNOT, and the phase gates whose Z4 exponent is 1 on one qubit (S) or 2
+on two (CZ).
 
 The state's n stabilizer generators are the rows of the bit blocks x and z
 with sign bits r (Aaronson-Gottesman, arXiv:quant-ph/0406196); destabilizers
@@ -14,6 +16,7 @@ import numpy as np
 
 from .affine import AffineSupport
 from .errors import NonCliffordError
+from .statevector import GATES
 
 
 class Tableau:
@@ -30,14 +33,15 @@ class Tableau:
     def apply(self, gate):
         """Apply one `statevector.Gate` to every generator at once.
 
-        A phase gate is read off its arity and phase: a 1-qubit phase i is
-        S and a 2-qubit phase -1 is CZ; any other phase gate is not
+        A phase gate is read off its arity and exponent: phase i^1 on one
+        qubit is S and i^2 on two is CZ; any other phase gate is not
         Clifford.
         """
         for q in gate.targets:
             if not (0 <= q < self.n):
                 raise ValueError(f"target {q} out of range for {self.n} qubits")
         x, z, r = self.x, self.z, self.r
+        e = GATES[gate.kind][1]
         if gate.kind == "H":
             (q,) = gate.targets
             r ^= x[:, q] & z[:, q]
@@ -47,11 +51,11 @@ class Tableau:
             r ^= x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1)
             x[:, b] ^= x[:, a]
             z[:, a] ^= z[:, b]
-        elif gate.phase == 1j and len(gate.targets) == 1:
+        elif (e, len(gate.targets)) == (1, 1):
             (q,) = gate.targets
             r ^= x[:, q] & z[:, q]
             z[:, q] ^= x[:, q]
-        elif gate.phase == -1 and len(gate.targets) == 2:
+        elif (e, len(gate.targets)) == (2, 2):
             a, b = gate.targets
             r ^= x[:, a] & x[:, b] & (z[:, a] ^ z[:, b])
             z[:, a] ^= x[:, b]

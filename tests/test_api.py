@@ -13,15 +13,7 @@ import qlocal
 PACKAGE = Path(qlocal.__file__).parent
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
-TEST_ONLY = {
-    "adversary_gamma_law": "one adversary's law; checks the TV search's witness distance",
-    "cs": "gate constructor; the dense-engine, arena and tableau tests build CS gates with it",
-    "cnot": "gate constructor; the dense-engine and arena tests build CNOT gates with it",
-    "run_gates": "dense reference the tests compare the arena and the tableau against",
-    "exact_distribution": "dense reference the tests compare the arena and the tableau against",
-    "fidelity": "dense reference the tests compare the arena and the tableau against",
-    "dense_vector": "the arena's own amplitudes, which the tests compare against the dense reference",
-}
+TEST_ONLY = {}
 
 
 def _defined_names():

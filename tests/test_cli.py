@@ -105,8 +105,8 @@ def test_runs_holding_more_than_63_qubits(args, capsys):
 
 
 def test_k_copies_beyond_the_dense_cap(capsys):
-    # the d=10 support oracle would need a 30-qubit dense statevector; the
-    # stabilizer tableau needs none
+    # the stabilizer tableau gives the d=10 support with no dense state; its
+    # 30 qubits are past the tests' 26-qubit dense reference
     assert main(["--experiment", "k-copies", "--d", "10",
                  "--format", "records"]) == 0
     record = json.loads(capsys.readouterr().out)

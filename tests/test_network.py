@@ -33,14 +33,10 @@ from qlocal.protocols import (
     relation_inputs,
     relation_protocol_programs,
 )
-from qlocal.statevector import (
-    GATES,
-    Gate,
-    apply_gate,
-    exact_distribution,
-    new_state,
-)
+from qlocal.statevector import GATES, Gate
 from qlocal.topology import Topology, build_script_gd, input_nodes
+
+from dense import apply_gate, dense_vector, exact_distribution, new_state
 
 PATH2 = Topology([0, 1], [(0, 1)])
 
@@ -142,7 +138,7 @@ def test_arena_agrees_with_dense_engine(ops):
         targets = order[:GATES[kind][0]]
         arena.apply("u", 0, kind, [qids[q] for q in targets])
         state = apply_gate(state, Gate(kind, targets))
-    assert np.allclose(arena.state.dense_vector(qids), state.amplitudes,
+    assert np.allclose(dense_vector(arena.state, qids), state.amplitudes,
                        rtol=0, atol=1e-12)
 
 

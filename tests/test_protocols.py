@@ -20,15 +20,11 @@ from qlocal.protocols import (
     relation_protocol_programs,
     sampling_protocol_programs,
 )
-from qlocal.statevector import (
-    StateVector,
-    exact_distribution,
-    fidelity,
-    graph_state_gates,
-    run_gates,
-)
+from qlocal.statevector import graph_state_gates
 from qlocal.topology import Topology, build_script_gd, disjoint_copies, input_nodes
 from qlocal.verify import enumerate_support
+
+from dense import StateVector, dense_vector, exact_distribution, fidelity, run_gates
 
 TRIANGLE = Topology(range(3), [(0, 1), (1, 2), (2, 0)])
 
@@ -40,7 +36,7 @@ def _dense_fidelity(topology, assignment, program=GraphStateProgram):
     inputs = {u: bytes([assignment[u]]) for u in topology.nodes}
     result = run(topology, programs, rounds=2, inputs=inputs)
     n = topology.num_nodes
-    built = result.arena.state.dense_vector([programs[u].qubit for u in topology.nodes])
+    built = dense_vector(result.arena.state, [programs[u].qubit for u in topology.nodes])
     kept = Topology(
         topology.nodes,
         [e for e in topology.edges if all(assignment[u] for u in e)],
@@ -162,7 +158,7 @@ def test_relation_input_nodes_hold_no_qubits(d, b):
                  inputs=relation_inputs(d, b))
     ring_qubits = [programs[u].qubit for u in range(3 * d)]
     # raises unless the ring qubits are exactly the live ones
-    result.arena.state.dense_vector(ring_qubits)
+    dense_vector(result.arena.state, ring_qubits)
     keys, _ = result.arena.distribution_over(ring_qubits)
     assert len(keys) == (2 ** (3 * d - 1) if sum(b) % 2 else 2 ** (3 * d - 2))
 
@@ -185,7 +181,7 @@ def test_relation_generator_law_is_the_tableau_support(d):
 def test_sampling_input_nodes_hold_no_qubits(d):
     programs = sampling_protocol_programs(d)
     result = run(build_script_gd(d), programs, rounds=2, seed=3)
-    result.arena.state.dense_vector([programs[u].qubit for u in range(3 * d)])
+    dense_vector(result.arena.state, [programs[u].qubit for u in range(3 * d)])
 
 
 class _KeepsRelaysEntangled(GraphStateProgram):

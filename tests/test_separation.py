@@ -16,14 +16,34 @@ from qlocal.protocols import (
     relation_protocol_programs,
 )
 from qlocal.separation import (
-    adversary_gamma_law,
     exact_gamma,
+    gamma_space,
     min_tv_affine_adversary,
     sampling_exact_law,
 )
-from qlocal.statevector import exact_distribution, run_gates
 from qlocal.topology import build_script_gd, ring_distance
 from qlocal.verify import enumerate_support
+
+from dense import exact_distribution, run_gates
+
+
+def adversary_gamma_law(
+    d: int, strategy: AffineStrategy, biases
+) -> OutcomeDistribution:
+    """The joint law of one family adversary: b_i ~ Bernoulli(biases[i])
+    independently, outcome string deterministic per triple."""
+    biases = tuple(float(p) for p in biases)
+    if len(biases) != 3 or any(not 0 <= p <= 1 for p in biases):
+        raise ValueError("need three bias probabilities in [0, 1]")
+    entries = {}
+    for b in itertools.product((0, 1), repeat=3):
+        q = 1.0
+        for bit, p in zip(b, biases):
+            q *= p if bit else 1.0 - p
+        if q > 0:
+            x = affine_output_string(d, strategy, b)
+            entries[(b, x)] = entries.get((b, x), 0.0) + q
+    return OutcomeDistribution(entries, space=gamma_space(d))
 
 
 def test_gamma_normalization_and_marginals():

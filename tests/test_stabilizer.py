@@ -8,16 +8,10 @@ from hypothesis import strategies as st
 from qlocal.errors import NonCliffordError
 from qlocal.protocols import process_gates
 from qlocal.stabilizer import AffineSupport, Tableau, circuit_support
-from qlocal.statevector import (
-    GATES,
-    PRUNE_TOL,
-    Gate,
-    cs,
-    exact_distribution,
-    h,
-    run_gates,
-)
+from qlocal.statevector import GATES, Gate, h
 from qlocal.verify import enumerate_support
+
+from dense import PRUNE_TOL, cs, exact_distribution, run_gates
 
 TRIPLES = list(itertools.product((0, 1), repeat=3))
 

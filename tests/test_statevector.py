@@ -6,23 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlocal.errors import ResourceLimitError
-from qlocal.statevector import (
-    GATES,
-    Gate,
+from qlocal.statevector import GATES, Gate, cz, graph_state_gates, h, s
+from qlocal.topology import Topology
+
+from dense import (
     StateVector,
     apply_gate,
     cnot,
     cs,
-    cz,
     exact_distribution,
     fidelity,
-    graph_state_gates,
-    h,
     new_state,
     run_gates,
-    s,
 )
-from qlocal.topology import Topology
 
 INV_SQRT2 = 1 / np.sqrt(2)
 

@@ -92,7 +92,7 @@ def test_support_size_at_d6():
 def test_support_is_uniform_probability():
     # every support string of the d=2 process carries the same probability
     from qlocal.protocols import process_gates
-    from qlocal.statevector import exact_distribution, run_gates
+    from dense import exact_distribution, run_gates
 
     dist = exact_distribution(run_gates(6, process_gates(2, (0, 1, 1))))
     probs = [p for p in dist.entries.values() if p > 1e-9]
