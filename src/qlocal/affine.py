@@ -2,7 +2,7 @@
 stabilizer measurement's law: uniform on origin xor the span of some columns,
 a bit string packed into an int with entry i at bit i. The path-sum arena and
 the stabilizer tableau each reduce their own data to it, so their laws
-compare with ==."""
+compare with ==, and both walk their Python-int bitsets with its helpers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -33,13 +33,22 @@ def _span(x0, basis, num_bits, what) -> np.ndarray:
     return keys
 
 
-def _bit_rows(values, width) -> np.ndarray:
-    """One uint8 row per nonnegative Python int, however wide: bit j of the
-    int in column j."""
-    size = (width + 7) // 8
-    raw = b"".join(v.to_bytes(size, "little") for v in values)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size)
-    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+def _bits(mask):
+    """The single-bit masks set in `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _transposed(masks) -> dict:
+    """The bitsets turned around: each bit b that some mask holds -> the
+    mask of the j with b in masks[j], by b ascending."""
+    columns = {}
+    for j, mask in enumerate(masks):
+        for b in _bits(mask):
+            columns[b] = columns.get(b, 0) | 1 << j
+    return dict(sorted(columns.items()))
 
 
 def _complement(rows: dict, num_bits) -> list:
@@ -71,9 +80,8 @@ class AffineSupport:
     @cached_property
     def _spread(self) -> list:
         """The checks with entry i at bit 8i, as membership reads a string."""
-        rows = _bit_rows([m for m, _ in self.checks], self.num_bits)
-        return [(int.from_bytes(row.tobytes(), "little"), sign)
-                for row, (_, sign) in zip(rows, self.checks)]
+        return [(sum(b << 7 * (b.bit_length() - 1) for b in _bits(m)), sign)
+                for m, sign in self.checks]
 
     @classmethod
     def from_checks(cls, num_bits, checks):

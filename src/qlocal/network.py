@@ -22,7 +22,6 @@ from functools import partial
 
 import numpy as np
 
-from .affine import _bit_rows
 from .distributions import OutcomeDistribution
 from .errors import (
     LocalityError,
@@ -76,10 +75,10 @@ EMPTY_MESSAGE = Message()
 class NodeProgram:
     """Per-node behavior: init, one handler per round call, finalize.
 
-    `finalize(measured)` receives the terminal measurement outcome of every
-    qubit the program flagged via `ctx.measure`. It must be pure: the
-    runners call it once per distinct value of those bits and reuse the
-    result for every outcome that shares it.
+    `round` returns {neighbor: Message}, or None to send nothing.
+    `finalize(measured)` gets the terminal outcome of each qubit flagged via
+    `ctx.measure`. It must be pure and return bytes: the runners call it
+    once per distinct value of those bits and share the one result.
     """
 
     randomness_bits = 0
@@ -92,6 +91,15 @@ class NodeProgram:
 
     def finalize(self, measured: dict) -> bytes:
         return b""
+
+
+def _bit_rows(values, width) -> np.ndarray:
+    """One uint8 row per nonnegative Python int, however wide: bit j of the
+    int in column j."""
+    size = (width + 7) // 8
+    raw = b"".join(v.to_bytes(size, "little") for v in values)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
 
 
 class QuantumArena:
@@ -252,7 +260,13 @@ def _execute_rounds(
         }
         for u in order:
             contexts[u]._round = t
-            out = programs[u].round(t, inboxes[u]) or {}
+            out = programs[u].round(t, inboxes[u])
+            if out is None:
+                out = {}
+            elif not isinstance(out, dict):
+                raise ProtocolError(
+                    f"node {u!r} returned a {type(out).__name__} in round {t}"
+                )
             if out:
                 if t == rounds:
                     raise ProtocolError(
@@ -297,6 +311,14 @@ def _flagged_qubits(contexts, order, arena) -> list:
     return [q for u in order for q in contexts[u]._measure_flags]
 
 
+def _finalize(program, u, measured) -> bytes:
+    """The node's output; records share it, so it must be immutable bytes."""
+    out = program.finalize(measured)
+    if type(out) is not bytes:
+        raise ProtocolError(f"node {u!r} output a {type(out).__name__}, not bytes")
+    return out
+
+
 def _finalize_all(programs, contexts, order, bits) -> list:
     """Each row's record: the tuple of node outputs in node order.
 
@@ -309,7 +331,7 @@ def _finalize_all(programs, contexts, order, bits) -> list:
     for u in order:
         flags = contexts[u]._measure_flags
         if not flags:
-            columns.append([programs[u].finalize({})] * len(bits))
+            columns.append([_finalize(programs[u], u, {})] * len(bits))
             continue
         # bit j of a node's value is its j-th flag; past 62, Python ints
         weights = np.array(
@@ -321,8 +343,9 @@ def _finalize_all(programs, contexts, order, bits) -> list:
         )
         shift += len(flags)
         table = np.array([
-            programs[u].finalize(
-                {q: (int(value) >> j) & 1 for j, q in enumerate(flags)}
+            _finalize(
+                programs[u], u,
+                {q: (int(value) >> j) & 1 for j, q in enumerate(flags)},
             )
             for value in values
         ], dtype=object)

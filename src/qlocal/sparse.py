@@ -18,36 +18,18 @@ from operator import or_, xor
 
 import numpy as np
 
-from .affine import AffineSupport, _span
+from .affine import AffineSupport, _bits, _span, _transposed
 from .errors import EntangledDisposalError
 from .statevector import GATES
 
 _UNITS = np.array([1, 1j, -1, -1j])
 
 
-def _bits(mask):
-    """The single-bit masks set in `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _columns(forms) -> dict:
-    """Each variable the forms hold -> its column over them (bit j for the
-    j-th form), by variable ascending."""
-    columns = {}
-    for j, (mask, _) in enumerate(forms):
-        for v in _bits(mask):
-            columns[v] = columns.get(v, 0) | 1 << j
-    return dict(sorted(columns.items()))
-
-
 def _kernel_vector(forms) -> int:
     """A nonzero set of the forms' variables whose columns XOR to zero, as
     a mask; 0 if the columns are independent."""
     pivots = {}  # leading bit -> (column, the variables it sums)
-    for v, col in _columns(forms).items():
+    for v, col in _transposed(m for m, _ in forms).items():
         combo = v
         while col:
             lead = 1 << (col.bit_length() - 1)
@@ -184,7 +166,7 @@ class PathSum:
         work._reduce()
         forms = [work.forms[qid] for qid in qids]
         origin = sum(const << j for j, (_, const) in enumerate(forms))
-        rows = _reduced(_columns(forms).values())
+        rows = _reduced(_transposed(m for m, _ in forms).values())
         origin ^= reduce(xor, (r for lead, r in rows.items() if origin & lead), 0)
         # a tuple of a list: growing one from a generator fragmented the heap
         return AffineSupport(len(qids), origin, tuple([rows[k] for k in sorted(rows)]))

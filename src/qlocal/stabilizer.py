@@ -2,19 +2,17 @@
 H, CNOT, and the phase gates whose Z4 exponent is 1 on one qubit (S) or 2
 on two (CZ).
 
-The state's n stabilizer generators are the rows of the bit blocks x and z
-with sign bits r (Aaronson-Gottesman, arXiv:quant-ph/0406196); destabilizers
-are not kept, since nothing here measures mid-circuit. The support of a
-computational-basis measurement is an affine subspace: Gaussian elimination
-on the x block leaves the Z-only stabilizers, and each one, with its sign,
-is a parity check that every outcome string satisfies (qubit q at bit q of
-its mask), which `AffineSupport.from_checks` turns into generators.
+The n stabilizer generators are Python-int bitsets, as in the path sum and
+`AffineSupport`: bit i of x[q], z[q] and r holds generator i's X and Z part
+on qubit q and its sign (Aaronson-Gottesman, arXiv:quant-ph/0406196), so a
+gate acts on all generators at once. Nothing measures mid-circuit, so no
+destabilizers. Elimination on the X parts leaves the Z-only stabilizers;
+each, with its sign, is a parity check that every outcome string satisfies
+(qubit q at bit q of its mask), which `AffineSupport.from_checks` reads.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from .affine import AffineSupport
+from .affine import AffineSupport, _transposed
 from .errors import NonCliffordError
 from .statevector import GATES
 
@@ -26,9 +24,9 @@ class Tableau:
         if n < 1:
             raise ValueError("tableau needs at least one qubit")
         self.n = n
-        self.x = np.zeros((n, n), dtype=np.uint8)
-        self.z = np.eye(n, dtype=np.uint8)
-        self.r = np.zeros(n, dtype=np.uint8)
+        self.x = [0] * n
+        self.z = [1 << q for q in range(n)]
+        self.r = 0
 
     def apply(self, gate):
         """Apply one `statevector.Gate` to every generator at once.
@@ -40,70 +38,57 @@ class Tableau:
         for q in gate.targets:
             if not (0 <= q < self.n):
                 raise ValueError(f"target {q} out of range for {self.n} qubits")
-        x, z, r = self.x, self.z, self.r
+        x, z = self.x, self.z
         e = GATES[gate.kind][1]
         if gate.kind == "H":
             (q,) = gate.targets
-            r ^= x[:, q] & z[:, q]
-            x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+            self.r ^= x[q] & z[q]
+            x[q], z[q] = z[q], x[q]
         elif gate.kind == "CNOT":
             a, b = gate.targets
-            r ^= x[:, a] & z[:, b] & (x[:, b] ^ z[:, a] ^ 1)
-            x[:, b] ^= x[:, a]
-            z[:, a] ^= z[:, b]
+            self.r ^= x[a] & z[b] & ~(x[b] ^ z[a])
+            x[b] ^= x[a]
+            z[a] ^= z[b]
         elif (e, len(gate.targets)) == (1, 1):
             (q,) = gate.targets
-            r ^= x[:, q] & z[:, q]
-            z[:, q] ^= x[:, q]
+            self.r ^= x[q] & z[q]
+            z[q] ^= x[q]
         elif (e, len(gate.targets)) == (2, 2):
             a, b = gate.targets
-            r ^= x[:, a] & x[:, b] & (z[:, a] ^ z[:, b])
-            z[:, a] ^= x[:, b]
-            z[:, b] ^= x[:, a]
+            self.r ^= x[a] & x[b] & (z[a] ^ z[b])
+            z[a] ^= x[b]
+            z[b] ^= x[a]
         else:
             raise NonCliffordError(f"{gate.kind} is not a Clifford gate")
 
     def support(self) -> AffineSupport:
         """The law of the computational-basis outcomes, uniform on an
         affine subspace."""
-        n = self.n
-        x, z, r = self.x.copy(), self.z.copy(), self.r.copy()
-        rank = 0
-        for q in range(n):
-            rows = np.flatnonzero(x[rank:, q]) + rank
-            if not rows.size:
-                continue
-            p = rows[0]
-            for block in (x, z, r):
-                block[[rank, p]] = block[[p, rank]]
-            _multiply_rows(x, z, r, rows[1:], rank)
-            rank += 1
-        masks = z[rank:].astype(object) @ (1 << np.arange(n, dtype=object))
-        return AffineSupport.from_checks(n, zip(masks, r[rank:].tolist()))
+        xs, zs = _transposed(self.x), _transposed(self.z)  # 1 << i -> generator i
+        pivots = {}  # lowest X bit -> the one generator that leads with it
+        checks = []
+        for i in range(self.n):
+            row = (xs.get(1 << i, 0), zs.get(1 << i, 0), self.r >> i & 1)
+            while (lead := row[0] & -row[0]) in pivots:
+                row = _times(pivots[lead], row)
+            if lead:
+                pivots[lead] = row
+            else:
+                checks.append(row[1:])
+        return AffineSupport.from_checks(self.n, checks)
 
 
-def _multiply_rows(x, z, r, targets, pivot):
-    """Replace each target generator by its product with the pivot one.
-
-    The product's sign is i^e with e = 2 r_t + 2 r_p + sum_j g_j (mod 4),
-    where g_j is the power of i that multiplying the two Paulis on qubit j
-    contributes; summed across all columns of all target rows at once.
-    """
-    if not targets.size:
-        return
-    x1 = x[pivot].astype(np.int64)
-    z1 = z[pivot].astype(np.int64)
-    x2 = x[targets].astype(np.int64)
-    z2 = z[targets].astype(np.int64)
-    g = (
-        x1 * z1 * (z2 - x2)  # Y times the target's Pauli
-        + x1 * (1 - z1) * z2 * (2 * x2 - 1)  # X
-        + (1 - x1) * z1 * x2 * (1 - 2 * z2)  # Z
-    )
-    e = 2 * r[targets].astype(np.int64) + 2 * int(r[pivot]) + g.sum(axis=1)
-    r[targets] = (e % 4) // 2
-    x[targets] ^= x[pivot]
-    z[targets] ^= z[pivot]
+def _times(p, t):
+    """The product of two commuting signed Paulis (x, z, sign bit), parts as
+    qubit masks. Each qubit adds a power of i: +1 for XY, YZ and ZX, -1 for
+    YX, ZY and XZ, else 0. The sum is even, as the two commute, and 2 mod 4
+    flips the sign."""
+    (px, pz, ps), (tx, tz, ts) = p, t
+    py, ty = px & pz, tx & tz
+    px, pz, tx, tz = px ^ py, pz ^ py, tx ^ ty, tz ^ ty
+    up = (px & ty | py & tz | pz & tx).bit_count()
+    down = (py & tx | pz & ty | px & tz).bit_count()
+    return p[0] ^ t[0], p[1] ^ t[1], ps ^ ts ^ (up - down) >> 1 & 1
 
 
 def circuit_support(n: int, gates) -> AffineSupport:

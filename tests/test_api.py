@@ -30,6 +30,9 @@ def _defined_names():
 
 
 def _used_names():
+    assert PERFBENCH.is_dir(), (
+        f"{PERFBENCH} is missing: the names perfbench calls cannot be counted"
+    )
     paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     paths += PERFBENCH.glob("*.py")
     used = set()
@@ -44,3 +47,25 @@ def _used_names():
 
 def test_every_name_has_a_caller_outside_the_tests():
     assert _defined_names() - _used_names() == set(TEST_ONLY)
+
+
+def _imports(module):
+    """The package modules that `module` imports, directly or through
+    others."""
+    seen, todo = set(), [module]
+    while todo:
+        tree = ast.parse((PACKAGE / f"{todo.pop()}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = ([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+                todo += [name for name in names if name not in seen]
+                seen.update(names)
+    return seen
+
+
+def test_the_two_oracles_import_nothing_from_each_other():
+    # the path sum and the tableau are independent computations of every
+    # stabilizer law; they share `affine` and the gate table, not each other
+    assert "stabilizer" not in _imports("sparse")
+    assert "sparse" not in _imports("stabilizer")

@@ -84,6 +84,42 @@ def test_sending_to_non_neighbor_rejected():
         run(topo, {u: Bad() for u in topo.nodes}, rounds=1)
 
 
+def test_round_must_return_a_dict_of_messages():
+    class Listed(NodeProgram):
+        def round(self, t, inbox):  # node 1 returns None: no messages
+            return [(1, Message())] if self.ctx.self_id == 0 else None
+
+    with pytest.raises(ProtocolError, match="list"):
+        run(PATH2, {0: Listed(), 1: Listed()}, rounds=1)
+
+
+class Unbytes(NodeProgram):
+    """Finalizes to a value that is not bytes, with or without a flagged
+    qubit."""
+
+    def __init__(self, output, flag):
+        self.output, self.flag = output, flag
+
+    def round(self, t, inbox):
+        if self.flag:
+            self.ctx.measure(self.ctx.new_qubit())
+        return {}
+
+    def finalize(self, measured):
+        return self.output
+
+
+@pytest.mark.parametrize(
+    "output", ["x", bytearray(b"x"), [1]], ids=["str", "bytearray", "list"]
+)
+@pytest.mark.parametrize("flag", [False, True], ids=["flagless", "flagged"])
+def test_finalize_must_return_bytes(output, flag):
+    # records reuse one result per distinct value, so it must be immutable
+    programs = {0: Unbytes(output, flag), 1: NodeProgram()}
+    with pytest.raises(ProtocolError, match=type(output).__name__):
+        run_sampled(PATH2, programs, rounds=0, shots=4)
+
+
 def test_gate_on_unowned_qubit_raises():
     class Sender(NodeProgram):
         def round(self, t, inbox):

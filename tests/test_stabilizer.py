@@ -130,7 +130,10 @@ def test_tableau_matches_the_dense_engine(seed, n, length):
         tableau.apply(gate)
     # every generator, sign included, fixes the dense state; the support
     # alone would show a wrong sign only once a later H turned it into Z
-    for x, z, r in zip(tableau.x, tableau.z, tableau.r):
+    for i in range(n):  # generator i is bit i of every bitset
+        x, z = (np.array([column >> i & 1 for column in block])
+                for block in (tableau.x, tableau.z))
+        r = tableau.r >> i & 1
         assert np.allclose(_pauli_times(state, x, z, r), state.amplitudes)
     dense = set(exact_distribution(state).entries)
     assert set(tableau.support()) == dense
