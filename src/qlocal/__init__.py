@@ -44,7 +44,6 @@ from .topology import (
     corner_nodes,
     input_nodes,
     neighborhood,
-    ring_partition,
 )
 from .verify import (
     best_affine_success,

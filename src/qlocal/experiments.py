@@ -169,10 +169,9 @@ def k_copies_success(d: int, k: int, strategy) -> Fraction:
     return single**k
 
 
-def run_k_copies_protocol(d: int, k: int, strategy, inputs_per_copy) -> bool:
-    """One engine execution of the strategy on k copies; True iff every
-    copy's outcome string is valid for its input triple."""
-    topology = k_copies_topology(d, k)
+def run_k_copies_protocol(topology, d: int, k: int, strategy, inputs_per_copy) -> bool:
+    """One engine execution of the strategy on `k_copies_topology(d, k)`;
+    True iff every copy's outcome string is valid for its input triple."""
     base = lambda: affine_strategy_programs(d, strategy, rounds=2)
     programs = {(c, u): p for c in range(k) for u, p in base().items()}
     inputs = {
@@ -191,10 +190,11 @@ def run_k_copies_protocol(d: int, k: int, strategy, inputs_per_copy) -> bool:
 def k_copies(d, k):
     _, witness = verify.best_affine_success()
     predicted = k_copies_success(d, k, witness)
+    topology = k_copies_topology(d, k)
     hits = 0
     cases = list(product(list(product((0, 1), repeat=3)), repeat=k))
     for inputs_per_copy in cases:
-        hits += run_k_copies_protocol(d, k, witness, inputs_per_copy)
+        hits += run_k_copies_protocol(topology, d, k, witness, inputs_per_copy)
     measured = Fraction(hits, len(cases))
     return {
         "experiment": "k-copies",

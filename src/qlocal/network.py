@@ -236,6 +236,8 @@ def _execute_rounds(
     if rounds < 0:
         raise ValueError("round count must be nonnegative")
     inputs = inputs or {}
+    if not all(map(topology.has_node, inputs)):
+        raise ValueError("an inputs key names no node of the topology")
     order = list(topology.nodes)
     arena = QuantumArena()
     sent_in = set()

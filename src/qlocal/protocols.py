@@ -12,7 +12,7 @@ qubits, which is exactly the graph-state entangler.
 """
 from __future__ import annotations
 
-import json
+import ast
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -303,28 +303,19 @@ def affine_carrier_terms(d: int, strategy: AffineStrategy) -> dict:
 
 # A flooding node sends and receives the same few payloads on every round
 # call, so both directions of the codec are memoized. They are pure: the
-# cache only saves the JSON work.
+# cache only saves the `repr` and parse work. `literal_eval` gives back the
+# node ids as they were sent, tuples and strings alike.
 @lru_cache(maxsize=4096)
 def _encode_known(items: tuple) -> bytes:
     """The payload of a `known` dict, given its items as a sorted tuple."""
-    return json.dumps(items).encode()
+    return repr(items).encode()
 
 
 @lru_cache(maxsize=4096)
 def _decode_known(payload: bytes) -> tuple:
     """The (node, bit) pairs of a payload, as a tuple so that no caller can
     change the cached value."""
-    if not payload:
-        return ()
-    # JSON turns a tuple node id into a list; turn it back.
-    return tuple(
-        (_as_tuple(k) if k.__class__ is list else k, v)
-        for k, v in json.loads(payload.decode())
-    )
-
-
-def _as_tuple(item):
-    return tuple(_as_tuple(x) for x in item) if item.__class__ is list else item
+    return ast.literal_eval(payload.decode()) if payload else ()
 
 
 class _FloodingProgram(NodeProgram):
@@ -346,8 +337,8 @@ class _FloodingProgram(NodeProgram):
             self.known.update(_decode_known(msg.payload))
         if t >= self.rounds:
             return {}
-        payload = _encode_known(tuple(sorted(self.known.items())))
-        return {v: Message(payload) for v in self.ctx.neighbors}
+        msg = Message(_encode_known(tuple(sorted(self.known.items()))))
+        return dict.fromkeys(self.ctx.neighbors, msg)
 
 
 class AffineTermProgram(_FloodingProgram):

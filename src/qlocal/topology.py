@@ -114,19 +114,6 @@ def input_nodes(d: int) -> tuple:
     return (3 * d, 3 * d + 1, 3 * d + 2)
 
 
-def ring_partition(d: int) -> dict:
-    """The side / parity node sets of the 3d-ring, as sets of labels."""
-    check_even_d(d)
-    n = 3 * d
-    return {
-        "V_R": set(range(1, d)),
-        "V_B": set(range(d + 1, 2 * d)),
-        "V_L": set(range(2 * d + 1, n)),
-        "V_even": {i for i in range(n) if i % 2 == 0},
-        "V_odd": {i for i in range(n) if i % 2 == 1},
-    }
-
-
 def ring_distance(d: int, i: int, j: int) -> int:
     """Distance between labels i and j along the 3d-ring."""
     n = 3 * d

@@ -23,7 +23,7 @@ from .protocols import (
     process_gates,
 )
 from .stabilizer import circuit_support
-from .topology import ring_partition
+from .topology import check_even_d
 
 
 @dataclass(frozen=True)
@@ -33,26 +33,18 @@ class ValidityReport:
 
 
 def parities(d: int, outcome) -> tuple:
-    """XOR the outcome bits over the even set and each side's odd set:
-    (m_even, m_right, m_bottom, m_left)."""
+    """XOR the outcome bits over the even nodes and each side's odd nodes:
+    (m_even, m_right, m_bottom, m_left). With d even, the odd nodes of the
+    side between corners v_{di} and v_{d(i+1)} are every other label from
+    di + 1."""
+    check_even_d(d)
     outcome = tuple(outcome)
     if len(outcome) != 3 * d:
         raise ValueError(f"outcome must have length {3 * d}")
-    sets = ring_partition(d)
-    even = sets["V_even"]
-    odd = sets["V_odd"]
-
-    def xor_over(labels):
-        acc = 0
-        for i in labels:
-            acc ^= outcome[i]
-        return acc
-
-    return (
-        xor_over(even),
-        xor_over(sets["V_R"] & odd),
-        xor_over(sets["V_B"] & odd),
-        xor_over(sets["V_L"] & odd),
+    return tuple(
+        sum(bits) & 1
+        for bits in (outcome[0::2], outcome[1:d:2], outcome[d + 1:2 * d:2],
+                     outcome[2 * d + 1::2])
     )
 
 
@@ -78,13 +70,6 @@ def check_prop1(b, bits) -> bool:
         return True
     mask, required = case
     return _masked_parity(bits, mask) == required
-
-
-def parity_success_count(strategy: AffineStrategy) -> int:
-    """On how many of the 8 inputs the strategy's parities pass check_prop1."""
-    return sum(
-        check_prop1(b, strategy.parity_tuple(b)) for b in product((0, 1), repeat=3)
-    )
 
 
 _SUPPORT_CACHE = {}
@@ -128,24 +113,21 @@ class Lemma2Record:
     max_equalities_satisfied: int
 
 
+def _case_hits(strategy: AffineStrategy) -> int:
+    """How many of the four input-specific identities the strategy's
+    parities meet: the one count both scans below read."""
+    return sum(
+        _masked_parity(strategy.parity_tuple(b), mask) == required
+        for b, (mask, required) in _CASE_TABLE.items()
+    )
+
+
 def lemma2_exhaustive() -> Lemma2Record:
     """Scan every admissible affine combination and count how many of the
     four target equalities each satisfies. The lower bound needs the count
     of combinations satisfying all four to be zero."""
-    admissible = 0
-    all_four = 0
-    max_satisfied = 0
-    for strategy in all_affine_strategies():
-        admissible += 1
-        satisfied = sum(
-            1
-            for b, (mask, required) in _CASE_TABLE.items()
-            if _masked_parity(strategy.parity_tuple(b), mask) == required
-        )
-        max_satisfied = max(max_satisfied, satisfied)
-        if satisfied == 4:
-            all_four += 1
-    return Lemma2Record(admissible, all_four, max_satisfied)
+    hits = [_case_hits(s) for s in all_affine_strategies()]
+    return Lemma2Record(len(hits), hits.count(len(_CASE_TABLE)), max(hits))
 
 
 def _masked_parity(bits, mask):
@@ -157,21 +139,18 @@ def _masked_parity(bits, mask):
 
 def best_affine_success():
     """The maximum over admissible strategies of the fraction of inputs
-    whose realized parities pass the validity conditions, with a witness.
+    whose realized parities pass `check_prop1`, with a witness.
 
-    Ties are broken toward strategies whose nonconstant terms sit on
-    corner-adjacent carriers, so the witness replays at small round counts.
+    An admissible strategy meets the universal identity on all 8 inputs, so
+    it passes on the inputs without a case identity and on those whose case
+    identity it meets. Ties are broken toward strategies whose nonconstant
+    terms sit on corner-adjacent carriers, so the witness replays at small
+    round counts; among those the first in scan order wins.
     """
-    best = None
-    best_count = -1
-    for strategy in all_affine_strategies():
-        count = parity_success_count(strategy)
-        if count > best_count or (
-            count == best_count and _strategy_weight(strategy) < _strategy_weight(best)
-        ):
-            best = strategy
-            best_count = count
-    return Fraction(best_count, 8), best
+    best = min(
+        all_affine_strategies(), key=lambda s: (-_case_hits(s), _strategy_weight(s))
+    )
+    return Fraction(8 - len(_CASE_TABLE) + _case_hits(best), 8), best
 
 
 def _strategy_weight(s):

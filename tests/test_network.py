@@ -15,6 +15,7 @@ from qlocal.errors import (
     ModelViolationError,
     ProtocolError,
 )
+from qlocal.experiments import xor_oracle
 from qlocal.network import (
     LocalView,
     Message,
@@ -29,6 +30,7 @@ from qlocal.network import (
 from qlocal.protocols import (
     AffineStrategy,
     affine_strategy_programs,
+    derandomize_function_protocol,
     k_copies_topology,
     relation_inputs,
     relation_protocol_programs,
@@ -657,6 +659,15 @@ def test_one_shot_of_run_sampled_is_the_record_of_run():
 def test_missing_program_rejected():
     with pytest.raises(ValueError):
         run(PATH2, {0: Echo()}, rounds=1)
+
+
+def test_input_for_an_unknown_node_rejected():
+    # the key "0" is no node of the cycle: its input must not vanish silently
+    cycle = Topology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    programs = derandomize_function_protocol(cycle, xor_oracle, 2)
+    with pytest.raises(ValueError, match="no node"):
+        run(cycle, programs, 2, inputs={"0": b"\x01", 1: b"\x01"},
+            classical_only=True)
 
 
 @pytest.mark.parametrize("degree,role", [(1, "input-node"), (2, "side"),

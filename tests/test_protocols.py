@@ -21,7 +21,7 @@ from qlocal.protocols import (
     sampling_protocol_programs,
 )
 from qlocal.statevector import graph_state_gates
-from qlocal.topology import Topology, build_script_gd, disjoint_copies, input_nodes
+from qlocal.topology import Topology, build_script_gd, input_nodes
 from qlocal.verify import enumerate_support
 
 from dense import StateVector, dense_vector, exact_distribution, fidelity, run_gates
@@ -356,15 +356,23 @@ def test_derandomize_majority_output():
     assert result.outputs == {0: b"\x01", 1: b"\x01"}
 
 
-def test_derandomize_on_tuple_node_ids():
-    # node ids (copy, u) cross the flood as JSON and must come back as tuples
-    cycle = Topology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    topo = disjoint_copies(cycle, 2)
+@pytest.mark.parametrize(
+    "node_id", [lambda c, u: (c, u), lambda c, u: f"{c}.{u}"], ids=["tuple", "str"]
+)
+def test_derandomize_on_node_ids(node_id):
+    # node ids cross the flood as the repr of the known items and must come
+    # back as the same tuples or strings
+    cycle_edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    topo = Topology(
+        [node_id(c, u) for c in range(2) for u in range(4)],
+        [(node_id(c, a), node_id(c, b)) for c in range(2) for a, b in cycle_edges],
+        allow_disconnected=True,
+    )
     programs = derandomize_function_protocol(topo, xor_oracle, rounds=2)
     bits = {(0, 0): 1, (0, 1): 0, (0, 2): 1, (0, 3): 1,
             (1, 0): 0, (1, 1): 1, (1, 2): 1, (1, 3): 0}
-    inputs = {u: bytes([b]) for u, b in bits.items()}
+    inputs = {node_id(*cu): bytes([b]) for cu, b in bits.items()}
     result = run(topo, programs, rounds=2, inputs=inputs, classical_only=True)
     for c, want in ((0, 1), (1, 0)):
         for u in range(4):
-            assert result.outputs[(c, u)] == bytes([want])
+            assert result.outputs[node_id(c, u)] == bytes([want])

@@ -9,8 +9,8 @@ from qlocal.topology import (
     input_nodes,
     neighborhood,
     ring_distance,
-    ring_partition,
 )
+from qlocal.verify import parities
 
 
 def test_ring_counts():
@@ -38,11 +38,11 @@ def test_odd_d_rejected(bad_d):
 
 
 def test_side_partition_at_d4():
-    parts = ring_partition(4)
-    assert parts["V_R"] == {1, 2, 3}
-    assert parts["V_B"] == {5, 6, 7}
-    assert parts["V_L"] == {9, 10, 11}
-    assert parts["V_even"] | parts["V_odd"] == set(range(12))
+    # an even label feeds m_even; an odd one the parity of its own side
+    for i in range(12):
+        want = [0, 0, 0, 0]
+        want[1 + i // 4 if i % 2 else 0] = 1
+        assert parities(4, tuple(int(j == i) for j in range(12))) == tuple(want)
     assert corner_nodes(4) == (0, 4, 8)
     assert input_nodes(4) == (12, 13, 14)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qlocal import verify
-from qlocal.protocols import AffineStrategy
+from qlocal.protocols import AffineStrategy, all_affine_strategies
 from qlocal.verify import (
     best_affine_success,
     check_prop1,
@@ -12,9 +12,10 @@ from qlocal.verify import (
     is_valid,
     lemma2_exhaustive,
     parities,
-    parity_success_count,
     strategy_success_by_input,
 )
+
+TRIPLES = list(itertools.product((0, 1), repeat=3))
 
 
 def single_one(d, position):
@@ -44,6 +45,8 @@ def test_parities_are_linear():
 def test_parities_length_check():
     with pytest.raises(ValueError):
         parities(2, (0,) * 5)
+    with pytest.raises(ValueError):  # the right length, but d is odd
+        parities(3, (0,) * 9)
 
 
 def test_check_prop1_universal_identity():
@@ -133,11 +136,25 @@ def test_lemma2_scan():
     assert record.max_equalities_satisfied == 3
 
 
+def test_the_scan_agrees_with_prop1():
+    # recount every admissible strategy with check_prop1 itself; the witness
+    # is the first strategy of least carrier weight among the best
+    weight = lambda s: sum(sum(c[1:]) for c in (s.even, s.right, s.bottom, s.left))
+    counts = [
+        (sum(check_prop1(b, s.parity_tuple(b)) for b in TRIPLES), s)
+        for s in all_affine_strategies()
+    ]
+    best = max(c for c, _ in counts)
+    first = min((s for c, s in counts if c == best), key=weight)
+    assert best_affine_success() == (Fraction(best, 8), first)
+    assert lemma2_exhaustive().max_equalities_satisfied + 4 == best
+
+
 def test_best_affine_success_is_seven_eighths():
     frac, witness = best_affine_success()
     assert frac == Fraction(7, 8)
     assert witness.is_admissible()
-    assert parity_success_count(witness) == 7
+    assert sum(check_prop1(b, witness.parity_tuple(b)) for b in TRIPLES) == 7
 
 
 def test_witness_parity_success_matches_support_membership():
@@ -153,6 +170,6 @@ def test_witness_parity_success_matches_support_membership():
 
 def test_all_zero_strategy_succeeds_on_five_inputs():
     zero = AffineStrategy((0, 0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
-    assert parity_success_count(zero) == 5
+    assert sum(check_prop1(b, zero.parity_tuple(b)) for b in TRIPLES) == 5
     by_input = strategy_success_by_input(2, zero)
     assert sum(by_input.values()) == 5
