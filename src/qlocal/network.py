@@ -75,7 +75,9 @@ EMPTY_MESSAGE = Message()
 class NodeProgram:
     """Per-node behavior: init, one handler per round call, finalize.
 
-    `round` returns {neighbor: Message}, or None to send nothing.
+    `round` returns {neighbor: Message}; None or an empty dict sends
+    nothing. A `Message` is immutable, so one object may go to several
+    neighbors; consecutive entries of one object are checked once.
     `finalize(measured)` gets the terminal outcome of each qubit flagged via
     `ctx.measure`. It must be pure and return bytes: the runners call it
     once per distinct value of those bits and share the one result.
@@ -238,11 +240,11 @@ def _execute_rounds(
     inputs = inputs or {}
     if not all(map(topology.has_node, inputs)):
         raise ValueError("an inputs key names no node of the topology")
-    order = list(topology.nodes)
     arena = QuantumArena()
     sent_in = set()
     contexts = {}
-    for u in order:
+    nodes = []  # (u, program, context, neighbors), in node order
+    for u in topology.nodes:
         prog = programs[u]
         nbits = getattr(prog, "randomness_bits", 0)
         rand = tuple(randomness(u, nbits))
@@ -251,47 +253,51 @@ def _execute_rounds(
         view = LocalView(u, topology.neighbors(u), topology.num_nodes)
         ctx = NodeContext(view, inputs.get(u), rand, arena, not classical_only)
         contexts[u] = ctx
+        nodes.append((u, prog, ctx, view.neighbors))
         prog.init(ctx)
 
-    inboxes = {u: dict.fromkeys(topology.neighbors(u), EMPTY_MESSAGE) for u in order}
+    inboxes = {u: dict.fromkeys(nbrs, EMPTY_MESSAGE) for u, _, _, nbrs in nodes}
     for t in range(rounds + 1):
         # Qubits change owner only after the pass, at the round boundary.
         moves = {}
-        new_inboxes = {
-            u: dict.fromkeys(topology.neighbors(u), EMPTY_MESSAGE) for u in order
-        }
-        for u in order:
-            contexts[u]._round = t
-            out = programs[u].round(t, inboxes[u])
-            if out is None:
-                out = {}
-            elif not isinstance(out, dict):
+        new_inboxes = {u: dict.fromkeys(nbrs, EMPTY_MESSAGE) for u, _, _, nbrs in nodes}
+        for u, prog, ctx, neighbors in nodes:
+            ctx._round = t
+            out = prog.round(t, inboxes[u])
+            if not isinstance(out, dict) and out is not None:
                 raise ProtocolError(
                     f"node {u!r} returned a {type(out).__name__} in round {t}"
                 )
-            if out:
-                if t == rounds:
-                    raise ProtocolError(
-                        f"node {u!r} sent a message in the final round call; "
-                        f"the execution has no round {t + 1}"
-                    )
-                sent_in.add(t)
+            if not out:
+                continue
+            if t == rounds:
+                raise ProtocolError(
+                    f"node {u!r} sent a message in the final round call; "
+                    f"the execution has no round {t + 1}"
+                )
+            sent_in.add(t)
+            if not out.keys() <= neighbors:
+                v = next(v for v in out if v not in neighbors)
+                raise ProtocolError(
+                    f"node {u!r} addressed non-neighbor {v!r} in round {t}"
+                )
+            checked = None  # an immutable Message repeated in a row is checked once
             for v, msg in out.items():
-                if v not in topology.neighbors(u):
-                    raise ProtocolError(
-                        f"node {u!r} addressed non-neighbor {v!r} in round {t}"
-                    )
-                if not isinstance(msg, Message):
-                    raise ProtocolError(f"node {u!r} sent a non-Message object")
-                # A mutable payload or qubit container would let the sender
-                # change the message after it is sent.
-                if not (type(msg.payload) is bytes and type(msg.qubits) is tuple):
-                    raise ProtocolError(
-                        f"node {u!r} sent a message whose payload is not bytes "
-                        f"or whose qubits are not a tuple in round {t}"
-                    )
-                arena._check_owned(u, t, msg.qubits)
-                for qid in msg.qubits:
+                if msg is not checked:
+                    if not isinstance(msg, Message):
+                        raise ProtocolError(f"node {u!r} sent a non-Message object")
+                    # A mutable payload or qubit container would let the
+                    # sender change the message after it is sent.
+                    qubits = msg.qubits
+                    if not (type(msg.payload) is bytes and type(qubits) is tuple):
+                        raise ProtocolError(
+                            f"node {u!r} sent a message whose payload is not bytes "
+                            f"or whose qubits are not a tuple in round {t}"
+                        )
+                    if qubits:
+                        arena._check_owned(u, t, qubits)
+                    checked = msg
+                for qid in qubits:
                     if qid in moves:
                         raise ProtocolError(f"qubit {qid} sent twice in round {t}")
                     moves[qid] = v
@@ -308,9 +314,10 @@ def _flagged_qubits(contexts, order, arena) -> list:
     is sent away, other nodes can act on it, and once discarded it has no
     outcome.
     """
-    for u in order:
+    flagged = [u for u in order if contexts[u]._measure_flags]
+    for u in flagged:
         arena._check_owned(u, contexts[u]._round, contexts[u]._measure_flags)
-    return [q for u in order for q in contexts[u]._measure_flags]
+    return [q for u in flagged for q in contexts[u]._measure_flags]
 
 
 def _finalize(program, u, measured) -> bytes:
@@ -333,7 +340,7 @@ def _finalize_all(programs, contexts, order, bits) -> list:
     for u in order:
         flags = contexts[u]._measure_flags
         if not flags:
-            columns.append([_finalize(programs[u], u, {})] * len(bits))
+            columns.append((_finalize(programs[u], u, {}),) * len(bits))
             continue
         # bit j of a node's value is its j-th flag; past 62, Python ints
         weights = np.array(

@@ -302,20 +302,20 @@ def affine_carrier_terms(d: int, strategy: AffineStrategy) -> dict:
 
 
 # A flooding node sends and receives the same few payloads on every round
-# call, so both directions of the codec are memoized. They are pure: the
-# cache only saves the `repr` and parse work. `literal_eval` gives back the
-# node ids as they were sent, tuples and strings alike.
+# call, so both directions of the codec are memoized. They are pure, and a
+# `Message` is immutable, so one cached message may go to any node.
+# `literal_eval` gives back node ids as they were sent, tuples and strings alike.
 @lru_cache(maxsize=4096)
-def _encode_known(items: tuple) -> bytes:
-    """The payload of a `known` dict, given its items as a sorted tuple."""
-    return repr(items).encode()
+def _encode_known(items: tuple) -> Message:
+    """The message of a `known` dict, given its items as a sorted tuple."""
+    return Message(repr(items).encode())
 
 
 @lru_cache(maxsize=4096)
 def _decode_known(payload: bytes) -> tuple:
-    """The (node, bit) pairs of a payload, as a tuple so that no caller can
-    change the cached value."""
-    return ast.literal_eval(payload.decode()) if payload else ()
+    """The (node, bit) pairs of a nonempty payload, as a tuple so that no
+    caller can change the cached value."""
+    return ast.literal_eval(payload.decode())
 
 
 class _FloodingProgram(NodeProgram):
@@ -330,15 +330,17 @@ class _FloodingProgram(NodeProgram):
 
     def init(self, ctx):
         self.ctx = ctx
+        self.neighbors = ctx.neighbors
         self.known = self._seed_known(ctx)
 
     def round(self, t, inbox):
         for msg in inbox.values():
-            self.known.update(_decode_known(msg.payload))
+            if msg.payload:
+                self.known.update(_decode_known(msg.payload))
         if t >= self.rounds:
             return {}
-        msg = Message(_encode_known(tuple(sorted(self.known.items()))))
-        return dict.fromkeys(self.ctx.neighbors, msg)
+        msg = _encode_known(tuple(sorted(self.known.items())))
+        return dict.fromkeys(self.neighbors, msg)
 
 
 class AffineTermProgram(_FloodingProgram):

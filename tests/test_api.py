@@ -6,6 +6,7 @@ package (its __init__.py re-exports aside) or in perfbench/. A public name
 that only tests use goes into TEST_ONLY here on purpose, with the reason.
 """
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import qlocal
@@ -69,3 +70,22 @@ def test_the_two_oracles_import_nothing_from_each_other():
     # stabilizer law; they share `affine` and the gate table, not each other
     assert "stabilizer" not in _imports("sparse")
     assert "sparse" not in _imports("stabilizer")
+
+
+def test_the_tracer_finds_the_round_loop_and_the_programs(monkeypatch):
+    # the benchmark's tracer skips a hook it cannot resolve and only counts
+    # it in trace.hooks_missing, so a rename here would go unnoticed there
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # tracing imports checks
+    hooks = [
+        (module, path) for module, path, *_ in import_module("tracing").HOOKS
+        if module in ("qlocal.network", "qlocal.protocols")
+    ]
+    assert hooks
+    missing = []
+    for module, path in hooks:
+        owner = import_module(module)
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(f"{module}:{path}")
+    assert missing == []

@@ -1,6 +1,7 @@
 """Engine semantics: round timing, locality enforcement, reproducibility,
 gate validation, and agreement of the arena with the dense engine."""
 import itertools
+from collections import OrderedDict
 from functools import reduce
 from operator import xor
 
@@ -41,6 +42,8 @@ from qlocal.topology import Topology, build_script_gd, input_nodes
 from dense import apply_gate, dense_vector, exact_distribution, new_state
 
 PATH2 = Topology([0, 1], [(0, 1)])
+PATH3 = Topology([0, 1, 2], [(0, 1), (1, 2)])
+STAR = Topology([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
 
 
 class Echo(NodeProgram):
@@ -93,6 +96,65 @@ def test_round_must_return_a_dict_of_messages():
 
     with pytest.raises(ProtocolError, match="list"):
         run(PATH2, {0: Listed(), 1: Listed()}, rounds=1)
+
+
+class Outbox(NodeProgram):
+    """Node 0 returns `make(ctx)` in round call 0; every other call and
+    node sends nothing."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def round(self, t, inbox):
+        if t == 0 and self.make is not None:
+            return self.make(self.ctx)
+        return None
+
+
+def _send_from_0(topology, make):
+    programs = {u: Outbox(make if u == 0 else None) for u in topology.nodes}
+    return run(topology, programs, rounds=1)
+
+
+@pytest.mark.parametrize("out", [[], (), 0], ids=["list", "tuple", "int"])
+def test_a_falsy_non_dict_is_rejected(out):
+    with pytest.raises(ProtocolError, match=type(out).__name__):
+        _send_from_0(PATH2, lambda ctx: out)
+
+
+def test_an_empty_dict_subclass_sends_nothing():
+    result = _send_from_0(PATH2, lambda ctx: OrderedDict())
+    assert result.message_rounds == 0
+
+
+@pytest.mark.parametrize("addressees", [(1, 2), (2, 1)],
+                         ids=["neighbor-first", "non-neighbor-first"])
+def test_the_non_neighbor_among_neighbors_is_named(addressees):
+    make = lambda ctx: {v: Message(b"x") for v in addressees}
+    with pytest.raises(ProtocolError, match="non-neighbor 2 "):
+        _send_from_0(PATH3, make)
+
+
+def test_a_non_message_value_rejected():
+    with pytest.raises(ProtocolError, match="non-Message"):
+        _send_from_0(PATH2, lambda ctx: {1: b"x"})
+
+
+def test_every_distinct_message_of_an_outbox_is_checked():
+    # the first message is valid; the second, a different object, is not
+    make = lambda ctx: {1: Message(b"x"), 2: Message(bytearray(b"x"))}
+    with pytest.raises(ProtocolError, match="not bytes"):
+        _send_from_0(STAR, make)
+
+
+def test_one_message_object_cannot_carry_a_qubit_to_two_neighbors():
+    # the repeated object is checked once, but each of its qubits is moved
+    # once per addressee
+    def make(ctx):
+        return dict.fromkeys((1, 2), Message(b"", (ctx.new_qubit(),)))
+
+    with pytest.raises(ProtocolError, match="sent twice"):
+        _send_from_0(STAR, make)
 
 
 class Unbytes(NodeProgram):
@@ -270,9 +332,6 @@ def test_sending_unowned_qubit_raises():
         run(PATH2, {0: Forwarder(), 1: NodeProgram()}, rounds=2)
 
 
-PATH3 = Topology([0, 1, 2], [(0, 1), (1, 2)])
-
-
 class FlagThenSend(NodeProgram):
     """Node 0 flags a fresh qubit and sends it to node 1 in round call 0;
     node 2 sends its input bit to node 1 at the same time. In round call 1
@@ -397,7 +456,6 @@ def test_mutable_message_parts_rejected(make_message):
         run(PATH2, {0: Sender(), 1: NodeProgram()}, rounds=1)
 
 
-STAR = Topology([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
 # The hub creates qubit j and hands it to node OWNER[j]: the leaves flag 1,
 # 2 and 3 qubits, the hub keeps one entangled qubit and flags none.
 OWNER = (3, 1, 0, 3, 2, 3, 2)
