@@ -77,7 +77,7 @@ class NodeProgram:
 
     `round` returns {neighbor: Message}; None or an empty dict sends
     nothing. A `Message` is immutable, so one object may go to several
-    neighbors; consecutive entries of one object are checked once.
+    neighbors.
     `finalize(measured)` gets the terminal outcome of each qubit flagged via
     `ctx.measure`. It must be pure and return bytes: the runners call it
     once per distinct value of those bits and share the one result.
@@ -281,26 +281,23 @@ def _execute_rounds(
                 raise ProtocolError(
                     f"node {u!r} addressed non-neighbor {v!r} in round {t}"
                 )
-            checked = None  # an immutable Message repeated in a row is checked once
             for v, msg in out.items():
-                if msg is not checked:
-                    if not isinstance(msg, Message):
-                        raise ProtocolError(f"node {u!r} sent a non-Message object")
-                    # A mutable payload or qubit container would let the
-                    # sender change the message after it is sent.
-                    qubits = msg.qubits
-                    if not (type(msg.payload) is bytes and type(qubits) is tuple):
-                        raise ProtocolError(
-                            f"node {u!r} sent a message whose payload is not bytes "
-                            f"or whose qubits are not a tuple in round {t}"
-                        )
-                    if qubits:
-                        arena._check_owned(u, t, qubits)
-                    checked = msg
-                for qid in qubits:
-                    if qid in moves:
-                        raise ProtocolError(f"qubit {qid} sent twice in round {t}")
-                    moves[qid] = v
+                if not isinstance(msg, Message):
+                    raise ProtocolError(f"node {u!r} sent a non-Message object")
+                # A mutable payload or qubit container would let the sender
+                # change the message after it is sent.
+                qubits = msg.qubits
+                if not (type(msg.payload) is bytes and type(qubits) is tuple):
+                    raise ProtocolError(
+                        f"node {u!r} sent a message whose payload is not bytes "
+                        f"or whose qubits are not a tuple in round {t}"
+                    )
+                if qubits:
+                    arena._check_owned(u, t, qubits)
+                    for qid in qubits:
+                        if qid in moves:
+                            raise ProtocolError(f"qubit {qid} sent twice in round {t}")
+                        moves[qid] = v
                 new_inboxes[v][u] = msg
         arena.transfer(moves)
         inboxes = new_inboxes

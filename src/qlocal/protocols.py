@@ -330,7 +330,6 @@ class _FloodingProgram(NodeProgram):
 
     def init(self, ctx):
         self.ctx = ctx
-        self.neighbors = ctx.neighbors
         self.known = self._seed_known(ctx)
 
     def round(self, t, inbox):
@@ -340,7 +339,7 @@ class _FloodingProgram(NodeProgram):
         if t >= self.rounds:
             return {}
         msg = _encode_known(tuple(sorted(self.known.items())))
-        return dict.fromkeys(self.neighbors, msg)
+        return dict.fromkeys(self.ctx.neighbors, msg)
 
 
 class AffineTermProgram(_FloodingProgram):

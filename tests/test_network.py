@@ -135,9 +135,28 @@ def test_the_non_neighbor_among_neighbors_is_named(addressees):
         _send_from_0(PATH3, make)
 
 
-def test_a_non_message_value_rejected():
+@pytest.mark.parametrize("value", [b"x", None], ids=["bytes", "None"])
+def test_a_non_message_value_rejected(value):
     with pytest.raises(ProtocolError, match="non-Message"):
-        _send_from_0(PATH2, lambda ctx: {1: b"x"})
+        _send_from_0(PATH2, lambda ctx: {1: value})
+
+
+class QubitThenNone(NodeProgram):
+    """Sends a qubit in round call 0, then None in place of a message."""
+
+    def round(self, t, inbox):
+        if t == 0:
+            return {1: Message(b"", (self.ctx.new_qubit(),))}
+        if t == 1:
+            return {1: None}
+        return None
+
+
+def test_a_non_message_after_a_qubit_message_rejected():
+    # nothing checked for an earlier message stands in for a later value
+    programs = {0: QubitThenNone(), 1: Outbox(None)}
+    with pytest.raises(ProtocolError, match="non-Message"):
+        run(PATH2, programs, rounds=2)
 
 
 def test_every_distinct_message_of_an_outbox_is_checked():
@@ -148,8 +167,7 @@ def test_every_distinct_message_of_an_outbox_is_checked():
 
 
 def test_one_message_object_cannot_carry_a_qubit_to_two_neighbors():
-    # the repeated object is checked once, but each of its qubits is moved
-    # once per addressee
+    # each qubit of the repeated object is moved once per addressee
     def make(ctx):
         return dict.fromkeys((1, 2), Message(b"", (ctx.new_qubit(),)))
 
