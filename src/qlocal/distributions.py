@@ -39,9 +39,11 @@ def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     """Total variation distance: half the l1 distance over the joint support."""
     if p.space != q.space:
         raise ValueError(f"mismatched outcome spaces: {p.space!r} vs {q.space!r}")
-    keys = set(p.entries) | set(q.entries)
-    p_get, q_get = p.entries.get, q.entries.get
-    return 0.5 * sum(abs(p_get(k, 0.0) - q_get(k, 0.0)) for k in keys)
+    # one pass over p and one over q's other keys: each key is hashed twice
+    p_entries, q_entries = p.entries, q.entries
+    total = sum(abs(pk - q_entries.get(k, 0.0)) for k, pk in p_entries.items())
+    total += sum(abs(qk) for k, qk in q_entries.items() if k not in p_entries)
+    return 0.5 * total
 
 
 def _coordinate_getter(space, coordinate):

@@ -33,7 +33,7 @@ from .sparse import PathSum
 from .statevector import Gate
 from .topology import Topology
 
-# Largest total randomness run_exact enumerates, in bits.
+# Largest total randomness _exact_branches enumerates, in bits.
 MAX_RANDOM_BITS = 24
 
 
@@ -325,19 +325,19 @@ def _finalize(program, u, measured) -> bytes:
     return out
 
 
-def _finalize_all(programs, contexts, order, bits) -> list:
-    """Each row's record: the tuple of node outputs in node order.
-
+def _columns(programs, contexts, order, bits) -> list:
+    """Each node's outputs over the rows of `bits` as (table, index): the
+    distinct values its `finalize` returned and each row's index into them,
+    or index None when the node flagged nothing and table[0] is every row's.
     `bits` has one column per flagged qubit, as `_flagged_qubits` lists
     them, so a node's columns are consecutive and its pure `finalize` runs
-    once per distinct value of them.
-    """
+    once per distinct value of them."""
     columns = []
     shift = 0
     for u in order:
         flags = contexts[u]._measure_flags
         if not flags:
-            columns.append((_finalize(programs[u], u, {}),) * len(bits))
+            columns.append(((_finalize(programs[u], u, {}),), None))
             continue
         # bit j of a node's value is its j-th flag; past 62, Python ints
         weights = np.array(
@@ -348,15 +348,28 @@ def _finalize_all(programs, contexts, order, bits) -> list:
             bits[:, shift:shift + len(flags)] @ weights, return_inverse=True
         )
         shift += len(flags)
-        table = np.array([
+        columns.append(([
             _finalize(
                 programs[u], u,
                 {q: (int(value) >> j) & 1 for j, q in enumerate(flags)},
             )
             for value in values
-        ], dtype=object)
-        columns.append(table[inverse].tolist())
-    return list(zip(*columns))
+        ], inverse))
+    return columns
+
+
+def _records(columns, rows) -> list:
+    """One record per row: the tuple of node outputs in node order."""
+    return list(zip(*[
+        table * rows if index is None
+        else np.array(table, dtype=object)[index].tolist()
+        for table, index in columns
+    ]))
+
+
+def _finalize_all(programs, contexts, order, bits) -> list:
+    """Each row's record: the tuple of node outputs in node order."""
+    return _records(_columns(programs, contexts, order, bits), len(bits))
 
 
 def _sample_outputs(programs, contexts, order, arena, seed, shots) -> list:
@@ -411,37 +424,24 @@ def run_sampled(
     return _sample_outputs(programs, contexts, order, arena, seed, shots)
 
 
-def _randomness_branches(topology, make_programs):
+def _exact_branches(topology, make_programs, rounds, inputs):
+    """Yields (weight, probs, columns) per randomness branch: outcome i of
+    its terminal measurement has probability weight * probs[i], and
+    `columns` (`_columns`) holds the node outputs over those outcomes."""
+    order = list(topology.nodes)
     probe = make_programs()
-    widths = {u: getattr(probe[u], "randomness_bits", 0) for u in topology.nodes}
+    widths = {u: getattr(probe[u], "randomness_bits", 0) for u in order}
     total = sum(widths.values())
     if total > MAX_RANDOM_BITS:
         raise ResourceLimitError(
             f"{total} randomness bits exceed the enumeration budget of "
             f"{MAX_RANDOM_BITS}"
         )
-    nodes_with_bits = [u for u in topology.nodes if widths[u]]
+    nodes_with_bits = [u for u in order if widths[u]]
     for combo in itertools.product(
         *[itertools.product((0, 1), repeat=widths[u]) for u in nodes_with_bits]
     ):
-        yield dict(zip(nodes_with_bits, combo)), 2.0 ** -total
-
-
-def run_exact(
-    topology: Topology,
-    make_programs,
-    rounds: int,
-    inputs=None,
-) -> OutcomeDistribution:
-    """The exact output law: enumerate every randomness branch, and within
-    each branch the exact terminal-measurement distribution.
-
-    `make_programs` must build a fresh program map per call. Keys of the
-    returned distribution are tuples of output bytes in node order.
-    """
-    order = list(topology.nodes)
-    entries = {}
-    for overrides, weight in _randomness_branches(topology, make_programs):
+        overrides = dict(zip(nodes_with_bits, combo))
         programs = make_programs()
         contexts, arena, _ = _execute_rounds(
             topology, programs, rounds, inputs, False,
@@ -453,8 +453,22 @@ def run_exact(
             else (np.zeros(1, dtype=np.int64), np.ones(1))
         )
         bits = (keys[:, None] >> np.arange(len(qids))) & 1
-        records = _finalize_all(programs, contexts, order, bits)
-        for record, prob in zip(records, probs):
+        yield 2.0 ** -total, probs, _columns(programs, contexts, order, bits)
+
+
+def run_exact(
+    topology: Topology,
+    make_programs,
+    rounds: int,
+    inputs=None,
+) -> OutcomeDistribution:
+    """The exact output law, summed over `_exact_branches`; `make_programs`
+    must build a fresh program map per call. Keys of the returned
+    distribution are tuples of output bytes in node order."""
+    entries = {}
+    branches = _exact_branches(topology, make_programs, rounds, inputs)
+    for weight, probs, columns in branches:
+        for record, prob in zip(_records(columns, len(probs)), probs):
             entries[record] = entries.get(record, 0.0) + weight * float(prob)
-    space = ("outputs", tuple(repr(u) for u in order))
+    space = ("outputs", tuple(repr(u) for u in topology.nodes))
     return OutcomeDistribution(entries, space=space)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import ProtocolError
-from .network import Message, NodeProgram, role_of
+from .network import EMPTY_MESSAGE, Message, NodeProgram, role_of
 from .statevector import graph_state_gates, h, s
 from .topology import (
     Topology,
@@ -307,15 +307,15 @@ def affine_carrier_terms(d: int, strategy: AffineStrategy) -> dict:
 # `literal_eval` gives back node ids as they were sent, tuples and strings alike.
 @lru_cache(maxsize=4096)
 def _encode_known(items: tuple) -> Message:
-    """The message of a `known` dict, given its items as a sorted tuple."""
-    return Message(repr(items).encode())
+    """The message of a `known` dict's sorted items, with no payload if none."""
+    return Message(repr(items).encode()) if items else EMPTY_MESSAGE
 
 
 @lru_cache(maxsize=4096)
-def _decode_known(payload: bytes) -> tuple:
-    """The (node, bit) pairs of a nonempty payload, as a tuple so that no
-    caller can change the cached value."""
-    return ast.literal_eval(payload.decode())
+def _decode_known(payload: bytes):
+    """The (node, bit) pairs of a nonempty payload, as a dict's read-only
+    items view so that no caller can change the cached value."""
+    return dict(ast.literal_eval(payload.decode())).items()
 
 
 class _FloodingProgram(NodeProgram):
@@ -331,15 +331,18 @@ class _FloodingProgram(NodeProgram):
     def init(self, ctx):
         self.ctx = ctx
         self.known = self._seed_known(ctx)
+        self._msg = None  # the message of `known`, until an update changes it
 
     def round(self, t, inbox):
         for msg in inbox.values():
             if msg.payload:
-                self.known.update(_decode_known(msg.payload))
+                if not self.known.items() >= (pairs := _decode_known(msg.payload)):
+                    self.known.update(pairs)
+                    self._msg = None
         if t >= self.rounds:
             return {}
-        msg = _encode_known(tuple(sorted(self.known.items())))
-        return dict.fromkeys(self.ctx.neighbors, msg)
+        self._msg = self._msg or _encode_known(tuple(sorted(self.known.items())))
+        return dict.fromkeys(self.ctx.neighbors, self._msg)
 
 
 class AffineTermProgram(_FloodingProgram):
@@ -417,13 +420,9 @@ def _checked_carriers(d: int, strategy: AffineStrategy, rounds: int) -> dict:
 
 def affine_output_string(d: int, strategy: AffineStrategy, b) -> tuple:
     """The full 3d-bit string the strategy's protocol outputs on input b."""
-    return _carrier_output_string(d, affine_carrier_terms(d, strategy), _check_bits(b))
-
-
-def _carrier_output_string(d: int, carriers: dict, b: tuple) -> tuple:
-    """The 3d-bit output string of `affine_carrier_terms` on checked bits b."""
+    b = _check_bits(b)
     bits = [0] * (3 * d)
-    for node, (const, coeffs) in carriers.items():
+    for node, (const, coeffs) in affine_carrier_terms(d, strategy).items():
         bit = const
         for origin, coeff in coeffs.items():
             bit ^= coeff & b[origin]

@@ -16,10 +16,9 @@ from itertools import product
 import numpy as np
 
 from .distributions import OutcomeDistribution
-from .network import run_exact
+from .network import _exact_branches
 from .protocols import (
     AffineStrategy,
-    _carrier_output_string,
     affine_carrier_terms,
     all_affine_strategies,
     sampling_protocol_programs,
@@ -50,26 +49,28 @@ def exact_gamma(d: int) -> OutcomeDistribution:
 
 
 def sampling_exact_law(d: int) -> OutcomeDistribution:
-    """Exact output law of the distributed 2-round sampling protocol,
-    reshaped into the same outcome space as `exact_gamma`.
+    """Exact output law of the distributed 2-round sampling protocol: the
+    node output columns of each randomness branch give one byte row per
+    outcome, keyed (input bits, ring string) as in `exact_gamma`.
 
     This is the independent oracle for the cross-check: the engine
     enumerates the three randomness bits and the terminal measurement,
     knowing nothing about the centralized process.
     """
-    topology = build_script_gd(d)
-    raw = run_exact(
-        topology, lambda: sampling_protocol_programs(d), rounds=2
-    )
     entries = {}
-    for record, p in raw.items():
-        # node order is 0..3d-1 then the three input nodes, one byte each:
-        # the outputs are at least one byte and n of them join to n bytes
-        row = b"".join(record)
-        if len(row) != len(record) or min(map(len, record)) != 1:
-            raise ValueError(f"sampling outputs must be one byte each, got {record!r}")
-        key = (tuple(row[3 * d:]), tuple(row[:3 * d]))
-        entries[key] = entries.get(key, 0.0) + p
+    topology, programs = build_script_gd(d), lambda: sampling_protocol_programs(d)
+    for weight, probs, columns in _exact_branches(topology, programs, 2, None):
+        # node order is 0..3d-1 then the three input nodes, one byte each
+        rows = np.empty((len(probs), len(columns)), dtype=np.uint8)
+        for j, (table, index) in enumerate(columns):
+            if any(len(out) != 1 for out in table):
+                raise ValueError(f"sampling outputs must be one byte each, got {table!r}")
+            outs = np.frombuffer(b"".join(table), dtype=np.uint8)
+            rows[:, j] = outs[0] if index is None else outs[index]
+        bits, x = rows[:, 3 * d:].tolist(), rows[:, :3 * d].tolist()
+        keys = zip(map(tuple, bits), map(tuple, x))
+        for key, p in zip(keys, probs):
+            entries[key] = entries.get(key, 0.0) + weight * float(p)
     return OutcomeDistribution(entries, space=gamma_space(d))
 
 
@@ -92,6 +93,17 @@ def _visible_strategies(d: int, radius: int):
             for origin in coeffs
         ):
             yield strategy, carriers
+
+
+def _hits(carriers, supports) -> tuple:
+    """For each (b, S_b) of supports, whether the carriers' output on b is
+    in S_b: packed into int masks, and tested against the checks of S_b."""
+    c = sum(const << node for node, (const, _) in carriers.items())
+    m0, m1, m2 = (sum(coeffs.get(i, 0) << node for node, (_, coeffs) in carriers.items())
+                  for i in range(3))
+    return tuple(
+        all(((c ^ b0 * m0 ^ b1 * m1 ^ b2 * m2) & m).bit_count() & 1 == sign
+            for m, sign in s.checks) for (b0, b1, b2), s in supports)
 
 
 def min_tv_affine_adversary(d: int, T: int):
@@ -129,9 +141,7 @@ def min_tv_affine_adversary(d: int, T: int):
     best = None
     searched = {}  # hit pattern -> (grid index, tv)
     for strategy, carriers in _visible_strategies(d, 2 * T - 1):
-        hits = tuple(
-            _carrier_output_string(d, carriers, b) in s for b, s in supports
-        )
+        hits = _hits(carriers, supports)
         if hits not in searched:
             gamma_hits = np.array(
                 [2.0**-s.dim / 8 if hit else 0.0 for hit, (_, s) in zip(hits, supports)]

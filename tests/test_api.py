@@ -14,7 +14,9 @@ import qlocal
 PACKAGE = Path(qlocal.__file__).parent
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
-TEST_ONLY = {}
+TEST_ONLY = {
+    "run_exact": "general exact-law engine, the tests' reference for `_exact_branches`",
+}
 
 
 def _defined_names():

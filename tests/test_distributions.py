@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlocal.distributions import OutcomeDistribution, marginal, tv_distance
 
@@ -27,6 +29,32 @@ def test_tv_examples():
     a = dist({(0, 0): 1.0})
     b = dist({(1, 1): 1.0})
     assert tv_distance(a, b) == 1.0
+
+
+def test_tv_on_partly_overlapping_supports():
+    p = dist({(0, 0): 0.5, (0, 1): 0.5})
+    q = dist({(0, 1): 0.25, (1, 1): 0.75})
+    # |0.5 - 0| + |0.5 - 0.25| + |0 - 0.75| = 1.5, over keys of p, both, q
+    assert tv_distance(p, q) == 0.75
+    assert tv_distance(q, p) == 0.75
+
+
+_WEIGHTS = st.dictionaries(
+    st.integers(0, 5), st.floats(0.01, 1.0), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WEIGHTS, _WEIGHTS)
+def test_tv_equals_the_union_formula(p_weights, q_weights):
+    # keys drawn from one small range, so the supports overlap in part
+    p, q = (
+        dist({(k, 0): w / sum(ws.values()) for k, w in ws.items()})
+        for ws in (p_weights, q_weights)
+    )
+    keys = set(p.entries) | set(q.entries)
+    union = 0.5 * sum(abs(p.probability(k) - q.probability(k)) for k in keys)
+    assert tv_distance(p, q) == pytest.approx(union, rel=0, abs=1e-15)
 
 
 def test_tv_space_mismatch():

@@ -6,10 +6,19 @@ import pytest
 from qlocal.experiments import subgraph_fidelity_case, xor_oracle
 from qlocal.distributions import OutcomeDistribution, tv_distance
 from qlocal.errors import EntangledDisposalError, ProtocolError
-from qlocal.network import Message, NodeProgram, run, run_exact
+from qlocal.network import (
+    EMPTY_MESSAGE,
+    LocalView,
+    Message,
+    NodeContext,
+    NodeProgram,
+    run,
+    run_exact,
+)
 from qlocal.protocols import (
     AffineStrategy,
     GraphStateProgram,
+    InputFloodProgram,
     affine_carrier_terms,
     affine_output_string,
     affine_strategy_programs,
@@ -376,3 +385,15 @@ def test_derandomize_on_node_ids(node_id):
     for c, want in ((0, 1), (1, 0)):
         for u in range(4):
             assert result.outputs[node_id(c, u)] == bytes([want])
+
+
+def test_flooding_sends_a_fresh_message_when_a_known_bit_changes():
+    # the cached message follows the contents of `known`, not its size
+    prog = InputFloodProgram(2, origin=0)
+    prog.init(NodeContext(LocalView("w", frozenset({0}), 2), b"\x00", (), None, False))
+    first = prog.round(0, {0: EMPTY_MESSAGE})[0]
+    assert prog.round(1, {0: first})[0] is first  # nothing new: the same message
+    update = Message(repr(((0, 1),)).encode())
+    second = prog.round(1, {0: update})[0]
+    assert first.payload == b"((0, 0),)"
+    assert second.payload == b"((0, 1),)"

@@ -5,7 +5,7 @@ import pytest
 
 from qlocal import separation
 from qlocal.distributions import OutcomeDistribution, marginal, tv_distance
-from qlocal.network import run_sampled
+from qlocal.network import run_exact, run_sampled
 from qlocal.protocols import (
     AffineStrategy,
     affine_carrier_terms,
@@ -14,6 +14,7 @@ from qlocal.protocols import (
     process_gates,
     relation_inputs,
     relation_protocol_programs,
+    sampling_protocol_programs,
 )
 from qlocal.separation import (
     exact_gamma,
@@ -203,8 +204,42 @@ def test_min_tv_equals_the_search_without_a_memo(d, T):
 
 def test_sampling_law_rejects_outputs_wider_than_a_byte(monkeypatch):
     d = 2
-    record = (b"\x00",) * (3 * d) + (b"\x00\x01", b"", b"\x00")
-    fake = OutcomeDistribution({record: 1.0}, space=("outputs", ()))
-    monkeypatch.setattr(separation, "run_exact", lambda *args, **kwargs: fake)
-    with pytest.raises(ValueError, match="one byte each"):
-        sampling_exact_law(d)
+    # the ring nodes flag their qubits; the input nodes flag nothing, so
+    # their one output is checked on a path of its own
+    cases = [(0, b"\x00\x01"), (1, b""), (3 * d, b"\x00\x01"), (3 * d + 2, b"")]
+    for node, out in cases:
+        def programs(d, node=node, out=out):
+            made = sampling_protocol_programs(d)
+            made[node].finalize = lambda measured: out
+            return made
+
+        monkeypatch.setattr(separation, "sampling_protocol_programs", programs)
+        with pytest.raises(ValueError, match="one byte each"):
+            sampling_exact_law(d)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_sampling_law_equals_the_reshaped_record_law(d):
+    # the record path: run_exact's law of output tuples, each record joined
+    # into one byte per node and split into (input bits, ring string)
+    raw = run_exact(build_script_gd(d), lambda: sampling_protocol_programs(d), rounds=2)
+    old = {}
+    for record, p in raw.items():
+        row = b"".join(record)
+        assert len(row) == len(record) == 3 * d + 3
+        key = (tuple(row[3 * d:]), tuple(row[:3 * d]))
+        old[key] = old.get(key, 0.0) + p
+    assert sampling_exact_law(d).entries == old
+
+
+@pytest.mark.parametrize("d,T", [(4, 1), (8, 2)])
+def test_packed_hits_equal_the_output_strings_in_the_supports(d, T):
+    supports = [(b, enumerate_support(d, b)) for b in itertools.product((0, 1), repeat=3)]
+    patterns = set()
+    for strategy, carriers in separation._visible_strategies(d, 2 * T - 1):
+        hits = separation._hits(carriers, supports)
+        assert hits == tuple(
+            affine_output_string(d, strategy, b) in s for b, s in supports
+        ), strategy
+        patterns.add(hits)
+    assert len(patterns) > 1
