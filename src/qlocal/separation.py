@@ -11,7 +11,9 @@ target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .protocols import (
     all_affine_strategies,
     sampling_protocol_programs,
 )
-from .topology import build_script_gd, ring_distance
+from .topology import build_script_gd, check_even_d, ring_distance
 from .verify import enumerate_support
 
 _B_TRIPLES = tuple(product((0, 1), repeat=3))
@@ -81,29 +83,65 @@ class AdversaryWitness:
     tv: float
 
 
-def _visible_strategies(d: int, radius: int):
-    """(strategy, carrier terms) for the strategies whose every nonconstant
-    term sits on a node within the given ring distance of the corner holding
-    that input bit."""
-    for strategy in all_affine_strategies():
-        carriers = affine_carrier_terms(d, strategy)
-        if all(
-            ring_distance(d, node, d * origin) <= radius
-            for node, (_, coeffs) in carriers.items()
-            for origin in coeffs
-        ):
-            yield strategy, carriers
+@cache
+def _strategy_table():
+    """Every admissible strategy in `all_affine_strategies` order, and its
+    coefficient bits as one row of a 512 x 13 0/1 matrix."""
+    strategies = tuple(all_affine_strategies())
+    coeffs = np.array([s.even + s.right + s.bottom + s.left for s in strategies])
+    coeffs.flags.writeable = False
+    return strategies, coeffs
 
 
-def _hits(carriers, supports) -> tuple:
-    """For each (b, S_b) of supports, whether the carriers' output on b is
-    in S_b: packed into int masks, and tested against the checks of S_b."""
-    c = sum(const << node for node, (const, _) in carriers.items())
-    m0, m1, m2 = (sum(coeffs.get(i, 0) << node for node, (_, coeffs) in carriers.items())
-                  for i in range(3))
-    return tuple(
-        all(((c ^ b0 * m0 ^ b1 * m1 ^ b2 * m2) & m).bit_count() & 1 == sign
-            for m, sign in s.checks) for (b0, b1, b2), s in supports)
+@cache
+def _bias_table():
+    """The 1/22-step bias grid and q, where q[g, j] is the probability that
+    the g-th bias triple (grid indices in C order) gives triple j."""
+    grid = np.arange(23) / 22.0  # steps of 1/22: 5/11 and 6/11 are on it
+    sides = (1.0 - grid, grid)
+    q = np.stack([
+        np.multiply.outer(np.multiply.outer(sides[b0], sides[b1]), sides[b2]).ravel()
+        for b0, b1, b2 in _B_TRIPLES
+    ], axis=1)
+    q.flags.writeable = False
+    return grid, q
+
+
+def _hit_patterns(d: int, radius: int):
+    """For each strategy of `_strategy_table`: its hit pattern, bit j set
+    when its output string on the j-th triple b is in S_b, and whether it
+    is visible, with every nonconstant term on a node within the given ring
+    distance of the corner holding that input bit.
+
+    `affine_carrier_terms` is linear over GF(2) in the 13 coefficient bits,
+    so a strategy's output string is the XOR of the outputs of the unit
+    strategies it sets; a check x . mask = sign of S_b then holds for every
+    strategy at once when (coeffs @ P_b) % 2 == signs, with P_b the checks'
+    parities on the 13 unit outputs.
+    """
+    _, coeffs = _strategy_table()
+    units = [
+        affine_carrier_terms(d, AffineStrategy(u[:4], u[4:7], u[7:10], u[10:]))
+        for u in np.eye(coeffs.shape[1], dtype=int).tolist()
+    ]
+    far = np.array([
+        any(ring_distance(d, node, d * origin) > radius
+            for node, (_, terms) in carriers.items() for origin in terms)
+        for carriers in units
+    ])
+    patterns = np.zeros(len(coeffs), dtype=np.int64)
+    for j, b in enumerate(_B_TRIPLES):
+        outputs = [
+            sum((const ^ sum(c & b[o] for o, c in terms.items()) & 1) << node
+                for node, (const, terms) in carriers.items())
+            for carriers in units
+        ]
+        checks = enumerate_support(d, b).checks
+        parity = np.array([[(x & m).bit_count() & 1 for m, _ in checks] for x in outputs])
+        signs = np.array([sign for _, sign in checks])
+        hit = ((coeffs @ parity) % 2 == signs).all(axis=1)
+        patterns |= hit.astype(np.int64) << j
+    return patterns, coeffs @ far == 0
 
 
 def min_tv_affine_adversary(d: int, T: int):
@@ -116,43 +154,37 @@ def min_tv_affine_adversary(d: int, T: int):
     Γ's eight point probabilities per strategy come from the supports, so
     Γ is never built and any even d with T <= d/4 runs. They depend on the
     strategy only through its hit pattern, which triples b it outputs a
-    string of S_b on, so the bias grid runs once per distinct pattern (at
-    most 256). Strategies are taken in order and a later one replaces the
-    witness only at a strictly smaller distance.
+    string of S_b on. The 512 strategies' patterns and visibility come from
+    one GF(2) product of their coefficient matrix with each S_b's parity
+    checks (`_hit_patterns`), and the bias grid runs once per distinct
+    visible pattern (at most 256). The witness is the first visible
+    strategy, in `all_affine_strategies` order, at the minimum.
     Returns (min tv, witness).
     """
+    check_even_d(d)
+    if isinstance(T, bool) or not isinstance(T, Integral):
+        raise ValueError(f"round budget must be an integer, got {T!r}")
     if T < 1:
         raise ValueError("round budget must be at least 1")
     if T > d // 4:
         raise ValueError(f"T={T} exceeds d/4={d // 4}")
+    strategies, _ = _strategy_table()
+    grid, q = _bias_table()
+    patterns, visible = _hit_patterns(d, 2 * T - 1)
     # Γ puts 2^-dim/8 on each string of S_b, so each branch has mass 1/8
-    supports = [(b, enumerate_support(d, b)) for b in _B_TRIPLES]
-    grid = np.arange(23) / 22.0  # steps of 1/22: 5/11 and 6/11 are on it
-    b_arr = np.array(_B_TRIPLES, dtype=float)  # (8, 3)
-    # q[g, j] = probability the g-th bias combo assigns to triple j
-    combos = np.stack(
-        np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    q = np.prod(
-        np.where(b_arr[None, :, :] == 1.0, combos[:, None, :],
-                 1.0 - combos[:, None, :]),
-        axis=2,
-    )
-    best = None
-    searched = {}  # hit pattern -> (grid index, tv)
-    for strategy, carriers in _visible_strategies(d, 2 * T - 1):
-        hits = _hits(carriers, supports)
-        if hits not in searched:
-            gamma_hits = np.array(
-                [2.0**-s.dim / 8 if hit else 0.0 for hit, (_, s) in zip(hits, supports)]
-            )
-            # per bias combo: tv = 1/2 [ sum_b |q_b - gamma_b| + (1 - sum_b gamma_b) ]
-            tvs = 0.5 * (
-                np.abs(q - gamma_hits[None, :]).sum(axis=1) + 1.0 - gamma_hits.sum()
-            )
-            g = int(np.argmin(tvs))
-            searched[hits] = g, float(tvs[g])
-        g, tv = searched[hits]
-        if best is None or tv < best.tv:
-            best = AdversaryWitness(strategy, tuple(float(p) for p in combos[g]), tv)
-    return best.tv, best
+    masses = [2.0**-enumerate_support(d, b).dim / 8 for b in _B_TRIPLES]
+    tvs = np.full(len(strategies), np.inf)
+    best_g = {}  # hit pattern -> grid index of its minimum
+    gap = np.empty_like(q)  # reused: a fresh q-sized temporary per pattern doubles the scan
+    for pattern in np.unique(patterns[visible]).tolist():
+        gamma_hits = np.array([m if pattern >> j & 1 else 0.0 for j, m in enumerate(masses)])
+        np.abs(np.subtract(q, gamma_hits[None, :], out=gap), out=gap)
+        # per bias triple: tv = 1/2 [ sum_b |q_b - gamma_b| + (1 - sum_b gamma_b) ]
+        scan = 0.5 * (gap.sum(axis=1) + 1.0 - gamma_hits.sum())
+        g = best_g[pattern] = int(np.argmin(scan))
+        tvs[visible & (patterns == pattern)] = scan[g]
+    s = int(np.argmin(tvs))
+    tv = float(tvs[s])
+    g = best_g[int(patterns[s])]
+    biases = tuple(float(grid[i]) for i in np.unravel_index(g, (len(grid),) * 3))
+    return tv, AdversaryWitness(strategies[s], biases, tv)

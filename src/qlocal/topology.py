@@ -6,6 +6,7 @@ experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def neighborhood(topology: Topology, u, r: int) -> set:
 
 
 def check_even_d(d):
-    if d < 2 or d % 2 != 0:
+    if isinstance(d, bool) or not isinstance(d, Integral) or d < 2 or d % 2 != 0:
         raise ValueError(f"d must be an even integer >= 2, got {d}")
 
 

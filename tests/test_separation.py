@@ -158,30 +158,45 @@ def test_min_tv_at_d6_is_unchanged():
     assert witness.strategy.even == (0, 0, 0, 0)
 
 
-def _reference_min_tv(d, T):
-    """The search without a memo: every visible strategy scans the whole
-    23^3 bias grid, and the first strategy at the minimum is the witness."""
-    triples = list(itertools.product((0, 1), repeat=3))
-    supports = [enumerate_support(d, b) for b in triples]
+TRIPLES = list(itertools.product((0, 1), repeat=3))
+
+
+def _meshgrid_bias_table():
+    """The bias triples of the 1/22-step grid and q[g, j], the probability
+    the g-th triple gives the j-th input triple, as meshgrid/where/prod."""
     grid = np.arange(23) / 22.0
     combos = np.stack(
         np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1
     ).reshape(-1, 3)
-    ones = np.array(triples, dtype=float)[None, :, :] == 1.0
+    ones = np.array(TRIPLES, dtype=float)[None, :, :] == 1.0
     q = np.prod(
         np.where(ones, combos[:, None, :], 1.0 - combos[:, None, :]), axis=2
     )
+    return combos, q
+
+
+def _visible(d, radius, strategy):
+    """Every nonconstant term of the strategy sits within the given ring
+    distance of the corner holding its input bit."""
+    return all(
+        ring_distance(d, node, d * origin) <= radius
+        for node, (_, coeffs) in affine_carrier_terms(d, strategy).items()
+        for origin in coeffs
+    )
+
+
+def _reference_min_tv(d, T):
+    """The search without a memo: every visible strategy scans the whole
+    23^3 bias grid, and the first strategy at the minimum is the witness."""
+    supports = [enumerate_support(d, b) for b in TRIPLES]
+    combos, q = _meshgrid_bias_table()
     best = None
     for strategy in all_affine_strategies():
-        if any(
-            ring_distance(d, node, d * origin) > 2 * T - 1
-            for node, (_, coeffs) in affine_carrier_terms(d, strategy).items()
-            for origin in coeffs
-        ):
+        if not _visible(d, 2 * T - 1, strategy):
             continue
         gamma_hits = np.array([
             2.0**-s.dim / 8 if affine_output_string(d, strategy, b) in s else 0.0
-            for b, s in zip(triples, supports)
+            for b, s in zip(TRIPLES, supports)
         ])
         tvs = 0.5 * (
             np.abs(q - gamma_hits[None, :]).sum(axis=1) + 1.0 - gamma_hits.sum()
@@ -192,7 +207,7 @@ def _reference_min_tv(d, T):
     return best
 
 
-@pytest.mark.parametrize("d,T", [(4, 1), (8, 2)])
+@pytest.mark.parametrize("d,T", [(4, 1), (8, 2), (12, 3), (16, 4)])
 def test_min_tv_equals_the_search_without_a_memo(d, T):
     tv, witness = min_tv_affine_adversary(d, T)
     ref_tv, ref_strategy, ref_biases = _reference_min_tv(d, T)
@@ -200,6 +215,48 @@ def test_min_tv_equals_the_search_without_a_memo(d, T):
     assert witness.tv == ref_tv
     assert witness.strategy == ref_strategy
     assert witness.biases == ref_biases
+
+
+def test_outer_product_bias_table_equals_the_meshgrid_form():
+    grid, q = separation._bias_table()
+    combos, ref_q = _meshgrid_bias_table()
+    assert np.array_equal(q, ref_q)
+    # the g-th bias triple is the grid at g's indices in C order
+    indices = np.stack(np.unravel_index(np.arange(23**3), (23,) * 3), axis=1)
+    assert np.array_equal(grid[indices], combos)
+
+
+def _unit_strategies():
+    """The 13 strategies with a single coefficient bit set, in (even,
+    right, bottom, left) order; most are not admissible."""
+    return [
+        AffineStrategy(u[:4], u[4:7], u[7:10], u[10:])
+        for u in np.eye(13, dtype=int).tolist()
+    ]
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_output_string_is_the_xor_of_the_unit_outputs(d):
+    # the GF(2) linearity in the coefficient bits that the hit test rests on
+    units = _unit_strategies()
+    for b in TRIPLES:
+        unit_outputs = [np.array(affine_output_string(d, u, b)) for u in units]
+        for strategy in all_affine_strategies():
+            bits = strategy.even + strategy.right + strategy.bottom + strategy.left
+            xor = np.zeros(3 * d, dtype=int)
+            for bit, out in zip(bits, unit_outputs):
+                xor ^= bit * out
+            assert affine_output_string(d, strategy, b) == tuple(xor.tolist()), (strategy, b)
+
+
+@pytest.mark.parametrize(
+    "d,T,match",
+    [(4.0, 1, "even integer"), (5, 1, "even integer"),
+     (8, 1.5, "must be an integer"), (8, True, "must be an integer")],
+)
+def test_min_tv_rejects_non_integer_input(d, T, match):
+    with pytest.raises(ValueError, match=match):
+        min_tv_affine_adversary(d, T)
 
 
 def test_sampling_law_rejects_outputs_wider_than_a_byte(monkeypatch):
@@ -232,14 +289,22 @@ def test_sampling_law_equals_the_reshaped_record_law(d):
     assert sampling_exact_law(d).entries == old
 
 
-@pytest.mark.parametrize("d,T", [(4, 1), (8, 2)])
+@pytest.mark.parametrize("d,T", [(4, 1), (8, 2), (12, 3)])
 def test_packed_hits_equal_the_output_strings_in_the_supports(d, T):
-    supports = [(b, enumerate_support(d, b)) for b in itertools.product((0, 1), repeat=3)]
-    patterns = set()
-    for strategy, carriers in separation._visible_strategies(d, 2 * T - 1):
-        hits = separation._hits(carriers, supports)
-        assert hits == tuple(
-            affine_output_string(d, strategy, b) in s for b, s in supports
-        ), strategy
-        patterns.add(hits)
-    assert len(patterns) > 1
+    supports = [enumerate_support(d, b) for b in TRIPLES]
+    strategies, coeffs = separation._strategy_table()
+    assert strategies == tuple(all_affine_strategies())
+    assert coeffs.tolist() == [list(s.even + s.right + s.bottom + s.left) for s in strategies]
+    patterns, visible = separation._hit_patterns(d, 2 * T - 1)
+    assert len(patterns) == len(visible) == len(strategies) == 512
+    for strategy, pattern, seen in zip(strategies, patterns.tolist(), visible.tolist()):
+        assert [bool(pattern >> j & 1) for j in range(8)] == [
+            affine_output_string(d, strategy, b) in s for b, s in zip(TRIPLES, supports)
+        ], strategy
+        assert seen == _visible(d, 2 * T - 1, strategy), strategy
+    assert len(set(patterns[visible].tolist())) > 1
+    # every carrier is within one hop of its corner, so each radius >= 1
+    # shows all; at radius 0 only the corner terms and constants are seen
+    _, visible = separation._hit_patterns(d, 0)
+    assert visible.tolist() == [_visible(d, 0, s) for s in strategies]
+    assert 0 < visible.sum() < len(strategies)

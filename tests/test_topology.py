@@ -4,6 +4,7 @@ from qlocal.topology import (
     Topology,
     build_gd,
     build_script_gd,
+    check_even_d,
     corner_nodes,
     disjoint_copies,
     input_nodes,
@@ -35,6 +36,12 @@ def test_augmented_ring_counts():
 def test_odd_d_rejected(bad_d):
     with pytest.raises(ValueError):
         build_gd(bad_d)
+
+
+@pytest.mark.parametrize("bad_d", [4.0, "4", True])
+def test_non_integer_d_rejected(bad_d):
+    with pytest.raises(ValueError, match="even integer"):
+        check_even_d(bad_d)
 
 
 def test_side_partition_at_d4():
