@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -77,7 +77,11 @@ class NodeProgram:
 
     `round` returns {neighbor: Message}; None or an empty dict sends
     nothing. A `Message` is immutable, so one object may go to several
-    neighbors.
+    neighbors. The engine never mutates an outbox, so a program may return
+    one dict in several rounds; it checks every entry each time. Every node
+    gets a fresh inbox each round call, holding each neighbor's message or
+    `EMPTY_MESSAGE`. `ctx.view` is immutable and shared: it is built once
+    per topology.
     `finalize(measured)` gets the terminal outcome of each qubit flagged via
     `ctx.measure`. It must be pure and return bytes: the runners call it
     once per distinct value of those bits and share the one result.
@@ -159,10 +163,13 @@ class QuantumArena:
 
 class NodeContext:
     """A node program's handle onto the execution: view, input, randomness,
-    and ownership-checked quantum operations."""
+    and ownership-checked quantum operations. These act as the node the
+    engine assigned, so rebinding `view` or `self_id` gains no qubit."""
 
     def __init__(self, view, input_bytes, randomness, arena, allow_quantum):
         self.view = view
+        self.self_id = self._node = view.self_id
+        self.neighbors = view.neighbors
         self.input = input_bytes
         self.randomness = randomness
         self._arena = arena
@@ -170,34 +177,26 @@ class NodeContext:
         self._round = 0
         self._measure_flags = []
 
-    @property
-    def self_id(self):
-        return self.view.self_id
-
-    @property
-    def neighbors(self):
-        return self.view.neighbors
-
     def _quantum(self):
         if not self._allow_quantum:
             raise ModelViolationError(
-                f"node {self.self_id!r} attempted a quantum operation in a "
+                f"node {self._node!r} attempted a quantum operation in a "
                 f"classical-only execution"
             )
         return self._arena
 
     def new_qubit(self) -> int:
-        return self._quantum().create(self.self_id)
+        return self._quantum().create(self._node)
 
     def apply(self, kind, *qubits):
-        self._quantum().apply(self.self_id, self._round, kind, qubits)
+        self._quantum().apply(self._node, self._round, kind, qubits)
 
     def discard(self, qubit):
-        self._quantum().discard(self.self_id, self._round, qubit)
+        self._quantum().discard(self._node, self._round, qubit)
 
     def measure(self, qubit):
         """Flag a qubit for the terminal computational-basis measurement."""
-        self._quantum()._check_owned(self.self_id, self._round, [qubit])
+        self._quantum()._check_owned(self._node, self._round, [qubit])
         self._measure_flags.append(qubit)
 
 
@@ -217,6 +216,16 @@ def node_randomness(seed: int, node, nbits: int) -> tuple:
     if nbits > 256:
         raise ResourceLimitError("per-node randomness limited to 256 bits")
     return tuple((stream >> i) & 1 for i in range(nbits))
+
+
+@lru_cache(maxsize=64)
+def _views(topology: Topology) -> dict:
+    """{node: (view, blank inbox)}, in node order. Every execution on the
+    topology shares them, so neither is mutated: nodes get copies of a blank."""
+    return {
+        u: (LocalView(u, nbrs, topology.num_nodes), dict.fromkeys(nbrs, EMPTY_MESSAGE))
+        for u, nbrs in zip(topology.nodes, map(topology.neighbors, topology.nodes))
+    }
 
 
 def _execute_rounds(
@@ -244,23 +253,24 @@ def _execute_rounds(
     sent_in = set()
     contexts = {}
     nodes = []  # (u, program, context, neighbors), in node order
-    for u in topology.nodes:
+    plan = _views(topology)
+    for u, (view, _) in plan.items():
         prog = programs[u]
         nbits = getattr(prog, "randomness_bits", 0)
         rand = tuple(randomness(u, nbits))
         if len(rand) != nbits:
             raise ValueError(f"node {u!r} got {len(rand)} random bits, not {nbits}")
-        view = LocalView(u, topology.neighbors(u), topology.num_nodes)
         ctx = NodeContext(view, inputs.get(u), rand, arena, not classical_only)
         contexts[u] = ctx
         nodes.append((u, prog, ctx, view.neighbors))
         prog.init(ctx)
 
-    inboxes = {u: dict.fromkeys(nbrs, EMPTY_MESSAGE) for u, _, _, nbrs in nodes}
+    inboxes = {u: blank.copy() for u, (_, blank) in plan.items()}
     for t in range(rounds + 1):
         # Qubits change owner only after the pass, at the round boundary.
         moves = {}
-        new_inboxes = {u: dict.fromkeys(nbrs, EMPTY_MESSAGE) for u, _, _, nbrs in nodes}
+        # nothing is delivered after the final round call
+        new_inboxes = {u: b.copy() for u, (_, b) in plan.items()} if t < rounds else {}
         for u, prog, ctx, neighbors in nodes:
             ctx._round = t
             out = prog.round(t, inboxes[u])

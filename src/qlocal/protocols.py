@@ -331,32 +331,35 @@ class _FloodingProgram(NodeProgram):
     def init(self, ctx):
         self.ctx = ctx
         self.known = self._seed_known(ctx)
-        self._msg = None  # the message of `known`, until an update changes it
+        self._out = None  # the outbox of `known`, until an update changes it
 
     def round(self, t, inbox):
         for msg in inbox.values():
             if msg.payload:
                 if not self.known.items() >= (pairs := _decode_known(msg.payload)):
                     self.known.update(pairs)
-                    self._msg = None
+                    self._out = None
         if t >= self.rounds:
             return {}
-        self._msg = self._msg or _encode_known(tuple(sorted(self.known.items())))
-        return dict.fromkeys(self.ctx.neighbors, self._msg)
+        if self._out is None:
+            msg = _encode_known(tuple(sorted(self.known.items())))
+            self._out = dict.fromkeys(self.ctx.neighbors, msg)
+        return self._out
 
 
 class AffineTermProgram(_FloodingProgram):
     """Ring node of a classical affine strategy: floods, then outputs its
-    assigned affine term of the input bits it has seen."""
+    assigned affine term of the input bits it has seen. `coeffs` holds the
+    term's (input index, coefficient bit) pairs."""
 
-    def __init__(self, rounds, const, coeffs):
+    def __init__(self, rounds, const, coeffs: tuple):
         super().__init__(rounds)
         self.const = const
-        self.coeffs = dict(coeffs)
+        self.coeffs = coeffs
 
     def finalize(self, measured):
         bit = self.const
-        for origin, coeff in self.coeffs.items():
+        for origin, coeff in self.coeffs:
             if origin not in self.known:
                 raise ProtocolError(
                     f"node {self.ctx.self_id!r} never saw input {origin}"
@@ -390,18 +393,19 @@ def affine_strategy_programs(d: int, strategy: AffineStrategy, rounds: int) -> d
     carriers = _checked_carriers(d, strategy, rounds)
     programs = {}
     for u in range(3 * d):
-        const, coeffs = carriers.get(u, (0, {}))
+        const, coeffs = carriers.get(u, (0, ()))
         programs[u] = AffineTermProgram(rounds, const, coeffs)
     for i, w in enumerate(input_nodes(d)):
         programs[w] = InputFloodProgram(rounds, i)
     return programs
 
 
-# k-copies builds one strategy's programs per copy and input; the cached
-# table is only read (`AffineTermProgram` copies its coefficients).
+# k-copies builds one strategy's programs per copy and input; every program
+# shares the cached table's coefficient tuples.
 @lru_cache(maxsize=1024)
 def _checked_carriers(d: int, strategy: AffineStrategy, rounds: int) -> dict:
-    """`affine_carrier_terms`, once `affine_strategy_programs`' checks pass."""
+    """`affine_carrier_terms`, with each node's coefficients as a tuple of
+    items, once `affine_strategy_programs`' checks pass."""
     if rounds > d // 2:
         raise ValueError(f"rounds={rounds} exceeds d/2={d // 2}")
     if not strategy.is_admissible():
@@ -415,7 +419,7 @@ def _checked_carriers(d: int, strategy: AffineStrategy, rounds: int) -> dict:
                     f"node v_{node} cannot see input {origin} within "
                     f"{rounds} rounds"
                 )
-    return carriers
+    return {u: (const, tuple(coeffs.items())) for u, (const, coeffs) in carriers.items()}
 
 
 def affine_output_string(d: int, strategy: AffineStrategy, b) -> tuple:

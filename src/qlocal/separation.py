@@ -160,6 +160,10 @@ def min_tv_affine_adversary(d: int, T: int):
     visible pattern (at most 256). The witness is the first visible
     strategy, in `all_affine_strategies` order, at the minimum.
     Returns (min tv, witness).
+
+    The round budget never restricts this family: every nonconstant
+    carrier term sits within one hop of its corner, so at every T >= 1
+    all 512 strategies are visible and the result does not depend on T.
     """
     check_even_d(d)
     if isinstance(T, bool) or not isinstance(T, Integral):

@@ -18,6 +18,7 @@ from qlocal.errors import (
 )
 from qlocal.experiments import xor_oracle
 from qlocal.network import (
+    EMPTY_MESSAGE,
     LocalView,
     Message,
     NodeProgram,
@@ -173,6 +174,87 @@ def test_one_message_object_cannot_carry_a_qubit_to_two_neighbors():
 
     with pytest.raises(ProtocolError, match="sent twice"):
         _send_from_0(STAR, make)
+
+
+class InboxVandal(NodeProgram):
+    """Sends its id to every neighbor in round call 0 only, and logs a copy
+    of each inbox it gets with the inbox itself; node 1 then clears its
+    inbox in round call 0 and adds a key to it in round call 1."""
+
+    def init(self, ctx):
+        self.ctx = ctx
+        self.log = []
+
+    def round(self, t, inbox):
+        u = self.ctx.self_id
+        self.log.append((inbox, dict(inbox)))
+        if u == 1 and t == 0:
+            inbox.clear()
+        if u == 1 and t == 1:
+            inbox["stray"] = Message(b"x")
+        if t == 0:
+            return dict.fromkeys(self.ctx.neighbors, Message(bytes([u])))
+        return {}
+
+
+def _vandal_run(topology):
+    programs = {u: InboxVandal() for u in topology.nodes}
+    run(topology, programs, rounds=2)
+    return programs
+
+
+def test_a_changed_inbox_stays_with_its_node_and_round():
+    # views and blank inboxes are built once per topology and shared, so a
+    # node that changes its inbox must not change any other inbox
+    blank = {0: EMPTY_MESSAGE, 2: EMPTY_MESSAGE}
+    sent = {u: Message(bytes([u])) for u in PATH3.nodes}
+    expected = {
+        0: [{1: EMPTY_MESSAGE}, {1: sent[1]}, {1: EMPTY_MESSAGE}],
+        1: [blank, {0: sent[0], 2: sent[2]}, blank],
+        2: [{1: EMPTY_MESSAGE}, {1: sent[1]}, {1: EMPTY_MESSAGE}],
+    }
+    equal = Topology([0, 1, 2], [(1, 2), (0, 1)])
+    for topology in (PATH3, PATH3, equal):
+        programs = _vandal_run(topology)
+        for u, program in programs.items():
+            assert [copy for _, copy in program.log] == expected[u]
+            assert program.ctx.view == LocalView(
+                u, topology.neighbors(u), topology.num_nodes
+            )
+            if u != 1:  # nobody else's inbox changed afterwards
+                assert [inbox for inbox, _ in program.log] == expected[u]
+
+
+class Reuser(NodeProgram):
+    """Node 0 returns one outbox dict in round calls 0 and 1, putting
+    `poison` into it in call 1 if given; node 1 logs what arrives."""
+
+    def __init__(self, poison=None):
+        self.poison = poison
+        self.outbox = {1: Message(b"x")}
+        self.log = []
+
+    def round(self, t, inbox):
+        if self.ctx.self_id == 1:
+            self.log.append(inbox[0])
+            return {}
+        if t == 1 and self.poison is not None:
+            self.outbox[1] = self.poison
+        return self.outbox if t < 2 else {}
+
+
+def test_a_reused_outbox_is_delivered_every_round_and_left_unchanged():
+    sender, receiver = Reuser(), Reuser()
+    message = sender.outbox[1]
+    run(PATH2, {0: sender, 1: receiver}, rounds=2)
+    assert receiver.log == [EMPTY_MESSAGE, message, message]
+    assert sender.outbox == {1: message} and sender.outbox[1] is message
+
+
+def test_a_reused_outbox_is_checked_again_each_round():
+    # a memo that checks an outbox once per object would let this through
+    with pytest.raises(ProtocolError, match="non-Message"):
+        run(PATH2, {0: Reuser(poison=b"x"), 1: Reuser()}, rounds=2)
 
 
 class Unbytes(NodeProgram):
@@ -455,6 +537,34 @@ def test_receiver_cannot_touch_a_qubit_sent_in_the_same_round_call():
     with pytest.raises(LocalityError) as err:
         run(PATH2, {0: Handoff(), 1: Handoff()}, rounds=1)
     assert err.value.node == 1
+
+
+@pytest.mark.parametrize("rebind", ["view", "self_id"])
+def test_rebinding_the_context_id_does_not_move_the_ownership_check(rebind):
+    # node 1 poses as node 0 and acts on node 0's qubit; the arena checks
+    # the id the engine assigned, not what the program can rebind
+    for action in ("H", "measure", "discard"):
+        owned = []
+
+        class Impostor(NodeProgram):
+            def round(self, t, inbox):
+                ctx = self.ctx
+                if ctx.self_id == 0:
+                    owned.append(ctx.new_qubit())
+                    return {}
+                if rebind == "view":
+                    ctx.view = LocalView(0, PATH2.neighbors(0), PATH2.num_nodes)
+                else:
+                    ctx.self_id = 0
+                if action == "H":
+                    ctx.apply("H", owned[0])
+                else:
+                    getattr(ctx, action)(owned[0])
+                return {}
+
+        with pytest.raises(LocalityError) as err:
+            run(PATH2, {0: Impostor(), 1: Impostor()}, rounds=0)
+        assert err.value.node == 1
 
 
 # A bytearray payload or a list of qubits stays writable by its sender after

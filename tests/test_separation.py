@@ -158,6 +158,15 @@ def test_min_tv_at_d6_is_unchanged():
     assert witness.strategy.even == (0, 0, 0, 0)
 
 
+def test_the_round_budget_never_limits_the_adversary():
+    # every nonconstant carrier term sits within one hop of its corner, so
+    # each T >= 1 (radius 2T-1 >= 1) sees all 512 strategies
+    results = [min_tv_affine_adversary(16, T) for T in (1, 2, 3, 4)]
+    assert all(separation._hit_patterns(16, 2 * T - 1)[1].all() for T in (1, 2, 3, 4))
+    tv, witness = results[0]
+    assert all(r == (tv, witness) for r in results[1:])
+
+
 TRIPLES = list(itertools.product((0, 1), repeat=3))
 
 
