@@ -19,6 +19,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from numbers import Integral
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .sparse import PathSum
-from .statevector import Gate
+from .statevector import check_gate
 from .topology import Topology
 
 # Largest total randomness _exact_branches enumerates, in bits.
@@ -131,7 +132,8 @@ class QuantumArena:
 
     def apply(self, node, round_index, kind, qids):
         self._check_owned(node, round_index, qids)
-        self.state.apply(Gate(kind, qids))
+        check_gate(kind, qids)
+        self.state.apply(kind, qids)
 
     def discard(self, node, round_index, qid):
         self._check_owned(node, round_index, [qid])
@@ -156,8 +158,9 @@ class QuantumArena:
             picks = keys[rng.choice(len(keys), p=probs, size=shots)]
             return _bit_rows(picks.tolist(), len(qids))
         r = rng.integers(2, size=(shots, law.dim), dtype=np.uint8)
-        # float32 sums of fewer than 2^24 ones are exact, and BLAS is fast
-        x = (r.astype(np.float32) @ _bit_rows(law.columns, len(qids))) % 2
+        # float32 sums < 2^24 are exact; uint8 casts past 255 are undefined
+        x = r.astype(np.float32) @ _bit_rows(law.columns, len(qids))
+        x = x.astype(np.int32) & 1
         return x.astype(np.uint8) ^ _bit_rows([law.origin], len(qids))
 
 
@@ -425,8 +428,8 @@ def run_sampled(
     Valid because the terminal measurement is the only sampled step of an
     execution with fixed randomness; program finalize must be pure.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if isinstance(shots, bool) or not isinstance(shots, Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     order = list(topology.nodes)
     contexts, arena, _ = _execute_rounds(
         topology, programs, rounds, inputs, False, partial(node_randomness, seed)

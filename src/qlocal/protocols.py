@@ -24,6 +24,7 @@ from .topology import (
     Topology,
     build_gd,
     build_script_gd,
+    check_even_d,
     corner_nodes,
     disjoint_copies,
     input_nodes,
@@ -180,7 +181,8 @@ class SamplingInputProgram(RelationProgram):
 def relation_protocol_programs(d: int) -> dict:
     """Programs for every node of the augmented ring; input bits are fed
     through the runner's `inputs` map (see `relation_inputs`)."""
-    return {u: RelationProgram() for u in build_script_gd(d).nodes}
+    check_even_d(d)
+    return {u: RelationProgram() for u in (*range(3 * d), *input_nodes(d))}
 
 
 def relation_inputs(d: int, b) -> dict:
@@ -189,6 +191,7 @@ def relation_inputs(d: int, b) -> dict:
 
 
 def sampling_protocol_programs(d: int) -> dict:
+    check_even_d(d)
     programs = {u: RelationProgram() for u in range(3 * d)}
     for w in input_nodes(d):
         programs[w] = SamplingInputProgram()

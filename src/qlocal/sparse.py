@@ -72,17 +72,15 @@ class PathSum:
         """A fresh qubit in |0>."""
         self.forms[qid] = (0, 0)
 
-    def apply(self, gate):
-        """Apply one `statevector.Gate` to the qubits its targets name."""
-        if gate.kind == "H":
-            self._h(*gate.targets)
-        elif gate.kind == "CNOT":
-            (ma, ca), (mb, cb) = (self.forms[q] for q in gate.targets)
-            self.forms[gate.targets[1]] = (ma ^ mb, ca ^ cb)
+    def apply(self, kind, targets):
+        """Apply a gate that `statevector.check_gate` has passed."""
+        if kind == "H":
+            self._h(*targets)
+        elif kind == "CNOT":
+            (ma, ca), (mb, cb) = map(self.forms.__getitem__, targets)
+            self.forms[targets[1]] = (ma ^ mb, ca ^ cb)
         else:
-            self._add_product(
-                GATES[gate.kind][1], [self.forms[q] for q in gate.targets]
-            )
+            self._add_product(GATES[kind][1], [self.forms[q] for q in targets])
 
     def _add_product(self, e, forms):
         """Q += e * prod [f], where [f] lifts a form's bit to Z4:

@@ -29,15 +29,21 @@ class Gate:
     targets: tuple
 
     def __post_init__(self):
-        if self.kind not in GATES:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
         targets = tuple(self.targets)
+        check_gate(self.kind, targets)
         object.__setattr__(self, "targets", targets)
-        arity = GATES[self.kind][0]
-        if len(targets) != arity:
-            raise ValueError(f"{self.kind} expects {arity} targets")
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"duplicate targets in {self.kind}")
+
+
+def check_gate(kind, targets):
+    """The one gate check, for `Gate` and the arena: a kind of `GATES` on
+    as many distinct targets as its arity."""
+    if kind not in GATES:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    arity = GATES[kind][0]
+    if len(targets) != arity:
+        raise ValueError(f"{kind} expects {arity} targets")
+    if len(set(targets)) != arity:
+        raise ValueError(f"duplicate targets in {kind}")
 
 
 def h(q) -> Gate:

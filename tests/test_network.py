@@ -21,6 +21,7 @@ from qlocal.network import (
     EMPTY_MESSAGE,
     LocalView,
     Message,
+    NodeContext,
     NodeProgram,
     QuantumArena,
     node_randomness,
@@ -309,6 +310,31 @@ def test_gate_with_wrong_target_count_rejected(kind, arity):
 
     with pytest.raises(ValueError):
         run(PATH2, {0: Misuse(), 1: NodeProgram()}, rounds=0)
+
+
+@pytest.mark.parametrize(
+    "via,kind,targets",
+    [("ctx", "NOPE", (0,)), ("ctx", "CNOT", (0, 0)), ("arena", "CZ", [0, 0])],
+    ids=["unknown-kind", "repeated-cnot-target", "repeated-cz-target-list"],
+)
+def test_a_refused_gate_leaves_the_arena_unchanged(via, kind, targets):
+    # the arena checks each gate against the table before the path sum sees
+    # it; a list of targets is what experiments.subgraph_fidelity_case passes
+    arena = QuantumArena()
+    ctx = NodeContext(LocalView(0, frozenset(), 1), b"", (), arena, True)
+    qubits = [ctx.new_qubit(), ctx.new_qubit()]
+    ctx.apply("H", qubits[0])
+    ctx.apply("CNOT", *qubits)
+    ctx.apply("S", qubits[1])
+    forms, q = dict(arena.state.forms), dict(arena.state.q)
+    qids = [qubits[j] for j in targets]
+    with pytest.raises(ValueError):
+        if via == "ctx":
+            ctx.apply(kind, *qids)
+        else:
+            arena.apply(0, 0, kind, qids)
+    assert arena.state.forms == forms
+    assert arena.state.q == q
 
 
 def test_locality_is_checked_before_the_gate():
@@ -826,6 +852,20 @@ def test_run_sampled_matches_single_runs_shape():
     assert record[3 * d:] == (b"", b"", b"")
 
 
+@pytest.mark.parametrize("shots", [0, -2, 2.5, True, "3"])
+def test_run_sampled_rejects_bad_shots_before_any_round(shots):
+    calls = []
+
+    class Counted(NodeProgram):
+        def round(self, t, inbox):
+            calls.append(t)
+            return {}
+
+    with pytest.raises(ValueError, match="shots"):
+        run_sampled(PATH2, {0: Counted(), 1: Counted()}, rounds=1, shots=shots)
+    assert calls == []
+
+
 def test_one_shot_of_run_sampled_is_the_record_of_run():
     # both runners draw through one rng seeded alike
     d = 4
@@ -939,3 +979,25 @@ def test_a_non_uniform_law_is_drawn_with_its_probabilities():
     _within_binomial_tolerance(keys, probs, drawn)
     picks = np.random.default_rng(3).choice(len(keys), p=probs, size=4000)
     assert drawn.tolist() == keys[picks].tolist()
+
+
+def test_draws_past_a_column_sum_of_255_keep_their_parity():
+    # a 601-qubit parity state: 600 qubits under H, each CNOT'd into the last.
+    # Qubit 0 lies in every column of the reduced law, so its float sum per
+    # shot is Binomial(600, 1/2), past 255 on every draw here.
+    n, shots, seed = 600, 2000, 5
+    arena = QuantumArena()
+    qids = [arena.create(0) for _ in range(n + 1)]
+    for q in qids[:-1]:
+        arena.apply(0, 0, "H", [q])
+        arena.apply(0, 0, "CNOT", [q, qids[-1]])
+    law = arena.state.generator_law(qids)
+    assert law.dim == n
+    r = np.random.default_rng(seed).integers(2, size=(shots, n), dtype=np.uint8)
+    assert r[:, [c & 1 == 1 for c in law.columns]].sum(axis=1).min() > 255
+    bits = arena.sample_over(qids, shots, np.random.default_rng(seed))
+    assert bits.shape == (shots, n + 1)
+    assert bits.dtype == np.uint8
+    assert not np.any(bits.sum(axis=1) % 2)
+    assert all(row in law for row in bits.tolist())
+    assert set(bits[:, -1].tolist()) == {0, 1}

@@ -262,6 +262,16 @@ def test_sampling_programs_declare_one_bit_at_inputs():
     assert programs[0].randomness_bits == 0
 
 
+@pytest.mark.parametrize("build", [relation_protocol_programs,
+                                   sampling_protocol_programs])
+def test_program_builders_check_d_and_key_every_node(build):
+    for bad_d in (3, -2, 4.0):
+        with pytest.raises(ValueError):
+            build(bad_d)
+    for d in (2, 4, 6):
+        assert tuple(build(d)) == build_script_gd(d).nodes
+
+
 def test_process_gates_keep_the_norm():
     state = run_gates(6, process_gates(2, (1, 1, 1)))
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12

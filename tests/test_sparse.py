@@ -33,7 +33,7 @@ def _path_sum(n, gates) -> PathSum:
     for q in range(n):
         state.add(q)
     for gate in gates:
-        state.apply(gate)
+        state.apply(gate.kind, gate.targets)
     return state
 
 
@@ -298,7 +298,7 @@ def test_h_matches_reference_bit_for_bit(case, pos, seed):
     state = _path_sum(NUM_QUBITS, gates)
     reference = copy.deepcopy(state)
     variables = state._next_var
-    state.apply(h(pos))
+    state.apply("H", (pos,))
     assert (state._next_var == variables) == (case == "paired")
     reference_h(reference, pos)
     spare = next(q for q in range(TOP_SLOT) if q not in touched)
@@ -326,7 +326,7 @@ def test_h_matches_reference_bit_for_bit(case, pos, seed):
 def test_h_twice_at_the_top_slot_returns_to_zero():
     state = _path_sum(TOP_SLOT + 1, [h(TOP_SLOT)])
     assert state.distribution_over([TOP_SLOT])[0].tolist() == [0, 1]
-    state.apply(h(TOP_SLOT))
+    state.apply("H", (TOP_SLOT,))
     assert state.forms[TOP_SLOT] == (0, 0)
     assert not state.q
     keys, probs = state.distribution_over([TOP_SLOT])
