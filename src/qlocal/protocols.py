@@ -16,6 +16,7 @@ import ast
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from numbers import Integral
 
 from .errors import ProtocolError
 from .network import EMPTY_MESSAGE, Message, NodeProgram, role_of
@@ -270,38 +271,46 @@ class AffineStrategy:
         )
 
 
-def affine_carrier_terms(d: int, strategy: AffineStrategy) -> dict:
-    """Which ring node outputs which affine term.
+def _coefficient_bits(strategy: AffineStrategy) -> tuple:
+    """The strategy's 13 coefficient bits in `_carrier_slots` order."""
+    return strategy.even + strategy.right + strategy.bottom + strategy.left
 
-    Each parity class is split across the nodes adjacent to the corners
-    whose input the class may depend on, so every nonconstant term rides on
-    a node that can actually see the needed bit. Returns
-    {ring label: (constant bit, {input index: coefficient bit})}.
-    """
-    terms = {}
 
-    def add(node, const, origin, coeff):
-        base, coeffs = terms.get(node, (0, {}))
-        coeffs = dict(coeffs)
-        if origin is not None and coeff:
-            coeffs[origin] = coeffs.get(origin, 0) ^ coeff
-            if coeffs[origin] == 0:
-                del coeffs[origin]
-        terms[node] = (base ^ const, coeffs)
-
-    e, r, t, l = strategy.even, strategy.right, strategy.bottom, strategy.left
+def _carrier_slots(d: int) -> tuple:
+    """The one carrier layout of the affine family: for each coefficient
+    bit, in `_coefficient_bits` order, the ring node that outputs its term
+    and the input index the term reads, or None for a constant. Every
+    nonconstant term rides on or next to the corner holding its input bit,
+    and no two slots share a (node, input) pair."""
+    check_even_d(d)
     c0, c1, c2 = corner_nodes(d)
-    add(c0, e[0], 0, e[1])
-    add(c1, 0, 1, e[2])
-    add(c2, 0, 2, e[3])
-    # odd side nodes nearest the corner that holds the visible bit
-    add(1, r[0], 0, r[1])
-    add(d - 1, 0, 1, r[2])
-    add(d + 1, t[0], 1, t[1])
-    add(2 * d - 1, 0, 2, t[2])
-    add(3 * d - 1, 0, 0, l[1])
-    add(2 * d + 1, l[0], 2, l[2])
-    return {n: v for n, v in terms.items() if v[0] or v[1]}
+    return (
+        (c0, None), (c0, 0), (c1, 1), (c2, 2),  # even: the corners
+        # each side: the odd nodes nearest the corner holding the visible bit
+        (1, None), (1, 0), (d - 1, 1),
+        (d + 1, None), (d + 1, 1), (2 * d - 1, 2),
+        (2 * d + 1, None), (3 * d - 1, 0), (2 * d + 1, 2),
+    )
+
+
+def _set_slots(d: int, strategy: AffineStrategy) -> list:
+    """The (node, input index or None) slots of the strategy's set bits."""
+    return [slot for bit, slot in zip(_coefficient_bits(strategy), _carrier_slots(d)) if bit]
+
+
+def affine_carrier_terms(d: int, strategy: AffineStrategy) -> dict:
+    """Which ring node outputs which affine term, by `_carrier_slots`:
+    {ring label: (constant bit, {input index: 1})} for each node carrying
+    a set bit."""
+    terms = {}
+    for node, origin in _set_slots(d, strategy):
+        const, coeffs = terms.get(node, (0, {}))
+        if origin is None:
+            const = 1
+        else:
+            coeffs[origin] = 1
+        terms[node] = (const, coeffs)
+    return terms
 
 
 # A flooding node sends and receives the same few payloads on every round
@@ -389,10 +398,16 @@ def affine_strategy_programs(d: int, strategy: AffineStrategy, rounds: int) -> d
     """A classical `rounds`-round protocol realizing the strategy's four
     parity functions on the augmented ring.
 
-    Raises if rounds exceeds d/2, if the strategy is not admissible, or if
-    some nonconstant term cannot reach its carrier within the round budget
-    (the input bit travels one hop from the input node first).
+    Raises ValueError unless d is an even integer >= 2 and rounds an
+    integer in 0..d/2, if the strategy is not admissible, or if some
+    nonconstant term cannot reach its carrier within the round budget (the
+    input bit travels one hop from the input node first). d and rounds are
+    checked before the cached carrier table is read, so 2.0 never passes
+    for 2.
     """
+    check_even_d(d)
+    if isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 0:
+        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
     carriers = _checked_carriers(d, strategy, rounds)
     programs = {}
     for u in range(3 * d):
@@ -413,15 +428,12 @@ def _checked_carriers(d: int, strategy: AffineStrategy, rounds: int) -> dict:
         raise ValueError(f"rounds={rounds} exceeds d/2={d // 2}")
     if not strategy.is_admissible():
         raise ValueError("strategy violates the side-parity constraint")
+    for node, origin in _set_slots(d, strategy):
+        if origin is not None and ring_distance(d, node, d * origin) + 1 > rounds:
+            raise ValueError(
+                f"node v_{node} cannot see input {origin} within {rounds} rounds"
+            )
     carriers = affine_carrier_terms(d, strategy)
-    for node, (_, coeffs) in carriers.items():
-        for origin in coeffs:
-            hops = ring_distance(d, node, d * origin) + 1
-            if hops > rounds:
-                raise ValueError(
-                    f"node v_{node} cannot see input {origin} within "
-                    f"{rounds} rounds"
-                )
     return {u: (const, tuple(coeffs.items())) for u, (const, coeffs) in carriers.items()}
 
 
@@ -429,11 +441,8 @@ def affine_output_string(d: int, strategy: AffineStrategy, b) -> tuple:
     """The full 3d-bit string the strategy's protocol outputs on input b."""
     b = _check_bits(b)
     bits = [0] * (3 * d)
-    for node, (const, coeffs) in affine_carrier_terms(d, strategy).items():
-        bit = const
-        for origin, coeff in coeffs.items():
-            bit ^= coeff & b[origin]
-        bits[node] = bit
+    for node, origin in _set_slots(d, strategy):
+        bits[node] ^= origin is None or b[origin]
     return tuple(bits)
 
 

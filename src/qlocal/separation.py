@@ -21,7 +21,8 @@ from .distributions import OutcomeDistribution
 from .network import _exact_branches
 from .protocols import (
     AffineStrategy,
-    affine_carrier_terms,
+    _carrier_slots,
+    _coefficient_bits,
     all_affine_strategies,
     sampling_protocol_programs,
 )
@@ -88,7 +89,7 @@ def _strategy_table():
     """Every admissible strategy in `all_affine_strategies` order, and its
     coefficient bits as one row of a 512 x 13 0/1 matrix."""
     strategies = tuple(all_affine_strategies())
-    coeffs = np.array([s.even + s.right + s.bottom + s.left for s in strategies])
+    coeffs = np.array([_coefficient_bits(s) for s in strategies])
     coeffs.flags.writeable = False
     return strategies, coeffs
 
@@ -113,29 +114,21 @@ def _hit_patterns(d: int, radius: int):
     is visible, with every nonconstant term on a node within the given ring
     distance of the corner holding that input bit.
 
-    `affine_carrier_terms` is linear over GF(2) in the 13 coefficient bits,
-    so a strategy's output string is the XOR of the outputs of the unit
-    strategies it sets; a check x . mask = sign of S_b then holds for every
-    strategy at once when (coeffs @ P_b) % 2 == signs, with P_b the checks'
-    parities on the 13 unit outputs.
+    A strategy's output string is the XOR of the unit outputs of the
+    `_carrier_slots` its 13 coefficient bits set, each one bit at its node;
+    a check x . mask = sign of S_b then holds for every strategy at once
+    when (coeffs @ P_b) % 2 == signs, with P_b the checks' parities on the
+    13 unit outputs.
     """
     _, coeffs = _strategy_table()
-    units = [
-        affine_carrier_terms(d, AffineStrategy(u[:4], u[4:7], u[7:10], u[10:]))
-        for u in np.eye(coeffs.shape[1], dtype=int).tolist()
-    ]
+    slots = _carrier_slots(d)
     far = np.array([
-        any(ring_distance(d, node, d * origin) > radius
-            for node, (_, terms) in carriers.items() for origin in terms)
-        for carriers in units
+        origin is not None and ring_distance(d, node, d * origin) > radius
+        for node, origin in slots
     ])
     patterns = np.zeros(len(coeffs), dtype=np.int64)
     for j, b in enumerate(_B_TRIPLES):
-        outputs = [
-            sum((const ^ sum(c & b[o] for o, c in terms.items()) & 1) << node
-                for node, (const, terms) in carriers.items())
-            for carriers in units
-        ]
+        outputs = [(origin is None or b[origin]) << node for node, origin in slots]
         checks = enumerate_support(d, b).checks
         parity = np.array([[(x & m).bit_count() & 1 for m, _ in checks] for x in outputs])
         signs = np.array([sign for _, sign in checks])

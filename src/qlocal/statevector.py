@@ -29,21 +29,25 @@ class Gate:
     targets: tuple
 
     def __post_init__(self):
-        targets = tuple(self.targets)
-        check_gate(self.kind, targets)
-        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "targets", check_gate(self.kind, self.targets))
 
 
-def check_gate(kind, targets):
+def check_gate(kind, targets) -> tuple:
     """The one gate check, for `Gate` and the arena: a kind of `GATES` on
-    as many distinct targets as its arity."""
+    as many distinct targets as its arity. Returns the targets as a tuple.
+    An unknown kind is reported whatever the targets are."""
     if kind not in GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
+    try:
+        targets = tuple(targets)
+    except TypeError:
+        raise ValueError(f"{kind} targets must be iterable, got {targets!r}") from None
     arity = GATES[kind][0]
     if len(targets) != arity:
         raise ValueError(f"{kind} expects {arity} targets")
     if len(set(targets)) != arity:
         raise ValueError(f"duplicate targets in {kind}")
+    return targets
 
 
 def h(q) -> Gate:

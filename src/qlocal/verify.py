@@ -143,9 +143,8 @@ def best_affine_success():
 
     An admissible strategy meets the universal identity on all 8 inputs, so
     it passes on the inputs without a case identity and on those whose case
-    identity it meets. Ties are broken toward strategies whose nonconstant
-    terms sit on corner-adjacent carriers, so the witness replays at small
-    round counts; among those the first in scan order wins.
+    identity it meets. Ties are broken toward the fewest nonconstant
+    coefficient bits; among those the first in scan order wins.
     """
     best = min(
         all_affine_strategies(), key=lambda s: (-_case_hits(s), _strategy_weight(s))

@@ -836,6 +836,27 @@ def test_run_exact_rejects_a_build_that_changes_its_randomness_width():
         run_exact(Topology([0], []), make_programs, rounds=0)
 
 
+RUNNERS = {
+    "run": lambda topology, make_programs, rounds: run(topology, make_programs(), rounds),
+    "run_exact": run_exact,
+}
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("rounds,width,match", [
+    (1.5, 1, "round count"), (True, 1, "round count"),
+    (0, 1.5, "node 0 declares"), (0, -1, "node 0 declares"), (0, True, "node 0 declares"),
+])
+def test_bad_rounds_and_randomness_widths_raise_value_error(runner, rounds, width, match):
+    def make_programs():
+        coin = CoinFlip()
+        coin.randomness_bits = width
+        return {0: coin}
+
+    with pytest.raises(ValueError, match=match):
+        RUNNERS[runner](Topology([0], []), make_programs, rounds)
+
+
 def test_run_sampled_matches_single_runs_shape():
     # one record per shot: the node outputs, in node order
     outs = run_sampled(PATH2, {0: Echo(), 1: Echo()}, rounds=1, shots=3)

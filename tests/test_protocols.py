@@ -262,8 +262,13 @@ def test_sampling_programs_declare_one_bit_at_inputs():
     assert programs[0].randomness_bits == 0
 
 
+def _affine_programs(d):
+    return affine_strategy_programs(d, next(all_affine_strategies()), rounds=1)
+
+
 @pytest.mark.parametrize("build", [relation_protocol_programs,
-                                   sampling_protocol_programs])
+                                   sampling_protocol_programs,
+                                   _affine_programs])
 def test_program_builders_check_d_and_key_every_node(build):
     for bad_d in (3, -2, 4.0):
         with pytest.raises(ValueError):
@@ -297,14 +302,13 @@ def test_inadmissible_strategy_detected():
 
 
 def test_carrier_terms_realize_the_parities():
-    strategy = AffineStrategy((1, 1, 0, 1), (0, 1, 1), (1, 1, 0), (1, 1, 0))
-    assert strategy.is_admissible()
-    d = 4
+    # pins the one carrier table against the independent `parity_tuple`
     from qlocal.verify import parities
 
-    for b in itertools.product((0, 1), repeat=3):
-        x = affine_output_string(d, strategy, b)
-        assert parities(d, x) == strategy.parity_tuple(b)
+    for d, strategy in itertools.product((2, 4, 6), all_affine_strategies()):
+        for b in itertools.product((0, 1), repeat=3):
+            x = affine_output_string(d, strategy, b)
+            assert parities(d, x) == strategy.parity_tuple(b), (d, strategy, b)
 
 
 def test_strategy_protocol_reproduces_output_string():
@@ -327,6 +331,10 @@ def test_round_budget_enforced():
     strategy = next(all_affine_strategies())
     with pytest.raises(ValueError):
         affine_strategy_programs(4, strategy, rounds=3)  # > d/2
+    # checked before the cached table, so 2.0 cannot pass as 2
+    for bad in (1.5, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="rounds must be an integer"):
+            affine_strategy_programs(4, strategy, rounds=bad)
 
 
 def test_nonconstant_terms_need_visibility():

@@ -244,9 +244,10 @@ def _unit_strategies():
     ]
 
 
-@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("d", [2, 4, 8])
 def test_output_string_is_the_xor_of_the_unit_outputs(d):
-    # the GF(2) linearity in the coefficient bits that the hit test rests on
+    # the GF(2) linearity in the coefficient bits that the hit test rests
+    # on; at d=2 nodes 1, 3 and 5 each carry a whole side
     units = _unit_strategies()
     for b in TRIPLES:
         unit_outputs = [np.array(affine_output_string(d, u, b)) for u in units]

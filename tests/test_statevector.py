@@ -110,6 +110,11 @@ def test_gate_validation():
         Gate("H", (0, 1))
     with pytest.raises(ValueError):
         Gate("NOPE", (0,))
+    # the kind is checked first, whatever the targets are
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        Gate("NOPE", 5)
+    with pytest.raises(ValueError, match="iterable"):
+        Gate("H", 5)
 
 
 def test_path_graph_state_amplitudes():
