@@ -19,7 +19,6 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from numbers import Integral
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .sparse import PathSum
 from .statevector import check_gate
-from .topology import Topology
+from .topology import Topology, check_count, is_count
 
 # Largest total randomness _exact_branches enumerates, in bits.
 MAX_RANDOM_BITS = 24
@@ -234,11 +233,7 @@ def _views(topology: Topology) -> dict:
 def _randomness_width(program, u) -> int:
     """The `randomness_bits` that node u's program declares."""
     nbits = getattr(program, "randomness_bits", 0)
-    # an exact int passes first: a k-copies-d4 item reads 23,040 widths,
-    # and the Integral check on each would cost it about 6 %
-    if type(nbits) is int and nbits >= 0:
-        return nbits
-    if isinstance(nbits, bool) or not isinstance(nbits, Integral) or nbits < 0:
+    if not is_count(nbits, 0):
         raise ValueError(
             f"node {u!r} declares randomness_bits={nbits!r}, not an integer >= 0"
         )
@@ -261,8 +256,7 @@ def _execute_rounds(
     """
     if set(programs) != set(topology.nodes):
         raise ValueError("need exactly one program per node")
-    if isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 0:
-        raise ValueError(f"round count must be an integer >= 0, got {rounds!r}")
+    check_count("round count", rounds, 0)
     inputs = inputs or {}
     if not all(map(topology.has_node, inputs)):
         raise ValueError("an inputs key names no node of the topology")
@@ -442,8 +436,7 @@ def run_sampled(
     Valid because the terminal measurement is the only sampled step of an
     execution with fixed randomness; program finalize must be pure.
     """
-    if isinstance(shots, bool) or not isinstance(shots, Integral) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    check_count("shots", shots, 1)
     order = list(topology.nodes)
     contexts, arena, _ = _execute_rounds(
         topology, programs, rounds, inputs, False, partial(node_randomness, seed)

@@ -16,7 +16,6 @@ import ast
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from numbers import Integral
 
 from .errors import ProtocolError
 from .network import EMPTY_MESSAGE, Message, NodeProgram, role_of
@@ -25,6 +24,7 @@ from .topology import (
     Topology,
     build_gd,
     build_script_gd,
+    check_count,
     check_even_d,
     corner_nodes,
     disjoint_copies,
@@ -406,8 +406,7 @@ def affine_strategy_programs(d: int, strategy: AffineStrategy, rounds: int) -> d
     for 2.
     """
     check_even_d(d)
-    if isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 0:
-        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
+    check_count("rounds", rounds, 0)
     carriers = _checked_carriers(d, strategy, rounds)
     programs = {}
     for u in range(3 * d):

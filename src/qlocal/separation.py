@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from numbers import Integral
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .protocols import (
     all_affine_strategies,
     sampling_protocol_programs,
 )
-from .topology import build_script_gd, check_even_d, ring_distance
+from .topology import build_script_gd, check_count, check_even_d, ring_distance
 from .verify import enumerate_support
 
 _B_TRIPLES = tuple(product((0, 1), repeat=3))
@@ -159,10 +158,7 @@ def min_tv_affine_adversary(d: int, T: int):
     all 512 strategies are visible and the result does not depend on T.
     """
     check_even_d(d)
-    if isinstance(T, bool) or not isinstance(T, Integral):
-        raise ValueError(f"round budget must be an integer, got {T!r}")
-    if T < 1:
-        raise ValueError("round budget must be at least 1")
+    check_count("round budget", T, 1)
     if T > d // 4:
         raise ValueError(f"T={T} exceeds d/4={d // 4}")
     strategies, _ = _strategy_table()

@@ -29,25 +29,28 @@ class Gate:
     targets: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", check_gate(self.kind, self.targets))
+        try:
+            targets = tuple(self.targets)
+        except TypeError:
+            if self.kind in GATES:
+                raise ValueError(
+                    f"{self.kind} targets must be iterable, got {self.targets!r}"
+                ) from None
+            targets = ()  # check_gate reports the unknown kind
+        check_gate(self.kind, targets)
+        object.__setattr__(self, "targets", targets)
 
 
-def check_gate(kind, targets) -> tuple:
+def check_gate(kind, targets):
     """The one gate check, for `Gate` and the arena: a kind of `GATES` on
-    as many distinct targets as its arity. Returns the targets as a tuple.
-    An unknown kind is reported whatever the targets are."""
+    as many distinct targets as its arity."""
     if kind not in GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
-    try:
-        targets = tuple(targets)
-    except TypeError:
-        raise ValueError(f"{kind} targets must be iterable, got {targets!r}") from None
     arity = GATES[kind][0]
     if len(targets) != arity:
         raise ValueError(f"{kind} expects {arity} targets")
     if len(set(targets)) != arity:
         raise ValueError(f"duplicate targets in {kind}")
-    return targets
 
 
 def h(q) -> Gate:

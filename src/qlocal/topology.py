@@ -6,7 +6,6 @@ experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,20 @@ def neighborhood(topology: Topology, u, r: int) -> set:
     return ball
 
 
+def is_count(value, minimum) -> bool:
+    """The one integer rule for d, round counts, shots and randomness
+    widths: an int, or anything else with `__index__` (a numpy integer),
+    at least `minimum`. A bool, a float or a string is not a count."""
+    return type(value) is not bool and hasattr(type(value), "__index__") and value >= minimum
+
+
+def check_count(name, value, minimum):
+    if not is_count(value, minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def check_even_d(d):
-    if isinstance(d, bool) or not isinstance(d, Integral) or d < 2 or d % 2 != 0:
+    if not is_count(d, 2) or d % 2 != 0:
         raise ValueError(f"d must be an even integer >= 2, got {d}")
 
 

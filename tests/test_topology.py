@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qlocal.topology import (
@@ -8,6 +9,7 @@ from qlocal.topology import (
     corner_nodes,
     disjoint_copies,
     input_nodes,
+    is_count,
     neighborhood,
     ring_distance,
 )
@@ -42,6 +44,14 @@ def test_odd_d_rejected(bad_d):
 def test_non_integer_d_rejected(bad_d):
     with pytest.raises(ValueError, match="even integer"):
         check_even_d(bad_d)
+
+
+def test_one_integer_rule_for_counts():
+    # numpy integers pass, as range() takes them; bools, floats and strings do not
+    assert is_count(3, 0) and is_count(np.int64(4), 2)
+    check_even_d(np.int64(4))
+    for bad in (True, np.True_, 1.0, "3", -1):
+        assert not is_count(bad, 0), bad
 
 
 def test_side_partition_at_d4():
