@@ -36,7 +36,6 @@ from .separation import (
     min_tv_affine_adversary,
     sampling_exact_law,
 )
-from .statevector import Gate
 from .topology import (
     Topology,
     build_gd,

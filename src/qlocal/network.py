@@ -130,7 +130,11 @@ class QuantumArena:
                 raise LocalityError(node, round_index, qid)
 
     def apply(self, node, round_index, kind, qids):
-        self._check_owned(node, round_index, qids)
+        try:
+            self._check_owned(node, round_index, qids)
+        except TypeError:  # qids is not a sequence: check_gate says so
+            check_gate(kind, qids)
+            raise
         check_gate(kind, qids)
         self.state.apply(kind, qids)
 
@@ -375,7 +379,7 @@ def _columns(programs, contexts, order, bits) -> list:
                 {q: (int(value) >> j) & 1 for j, q in enumerate(flags)},
             )
             for value in values
-        ], inverse))
+        ], inverse.astype(np.min_scalar_type(len(values)))))
     return columns
 
 

@@ -19,7 +19,7 @@ from itertools import product
 
 from .errors import ProtocolError
 from .network import EMPTY_MESSAGE, Message, NodeProgram, role_of
-from .statevector import graph_state_gates, h, s
+from .statevector import graph_state_gates
 from .topology import (
     Topology,
     build_gd,
@@ -187,6 +187,7 @@ def relation_protocol_programs(d: int) -> dict:
 
 
 def relation_inputs(d: int, b) -> dict:
+    check_even_d(d)
     b = _check_bits(b)
     return {w: bytes([bit]) for w, bit in zip(input_nodes(d), b)}
 
@@ -217,8 +218,8 @@ def process_gates(d: int, b) -> list:
     tests run it densely as the reference."""
     b = _check_bits(b)
     gates = graph_state_gates(build_gd(d))
-    gates += [s(d * i) for i, bit in enumerate(b) if bit]
-    gates += [h(q) for q in range(3 * d)]
+    gates += [("S", (d * i,)) for i, bit in enumerate(b) if bit]
+    gates += [("H", (q,)) for q in range(3 * d)]
     return gates
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .affine import AffineSupport, _transposed
 from .errors import NonCliffordError
-from .statevector import GATES
+from .statevector import GATES, check_gate
 
 
 class Tableau:
@@ -28,38 +28,38 @@ class Tableau:
         self.z = [1 << q for q in range(n)]
         self.r = 0
 
-    def apply(self, gate):
-        """Apply one `statevector.Gate` to every generator at once.
+    def apply(self, kind, targets):
+        """Apply the gate `(kind, targets)` to every generator at once.
 
         A phase gate is read off its arity and exponent: phase i^1 on one
         qubit is S and i^2 on two is CZ; any other phase gate is not
         Clifford.
         """
-        for q in gate.targets:
+        check_gate(kind, targets)
+        for q in targets:
             if not (0 <= q < self.n):
                 raise ValueError(f"target {q} out of range for {self.n} qubits")
         x, z = self.x, self.z
-        e = GATES[gate.kind][1]
-        if gate.kind == "H":
-            (q,) = gate.targets
+        if kind == "H":
+            (q,) = targets
             self.r ^= x[q] & z[q]
             x[q], z[q] = z[q], x[q]
-        elif gate.kind == "CNOT":
-            a, b = gate.targets
+        elif kind == "CNOT":
+            a, b = targets
             self.r ^= x[a] & z[b] & ~(x[b] ^ z[a])
             x[b] ^= x[a]
             z[a] ^= z[b]
-        elif (e, len(gate.targets)) == (1, 1):
-            (q,) = gate.targets
+        elif GATES[kind] == (1, 1):
+            (q,) = targets
             self.r ^= x[q] & z[q]
             z[q] ^= x[q]
-        elif (e, len(gate.targets)) == (2, 2):
-            a, b = gate.targets
+        elif GATES[kind] == (2, 2):
+            a, b = targets
             self.r ^= x[a] & x[b] & (z[a] ^ z[b])
             z[a] ^= x[b]
             z[b] ^= x[a]
         else:
-            raise NonCliffordError(f"{gate.kind} is not a Clifford gate")
+            raise NonCliffordError(f"{kind} is not a Clifford gate")
 
     def support(self) -> AffineSupport:
         """The law of the computational-basis outcomes, uniform on an
@@ -94,6 +94,6 @@ def _times(p, t):
 def circuit_support(n: int, gates) -> AffineSupport:
     """The measurement support of the gates run on |0...0> of n qubits."""
     tableau = Tableau(n)
-    for gate in gates:
-        tableau.apply(gate)
+    for kind, targets in gates:
+        tableau.apply(kind, targets)
     return tableau.support()

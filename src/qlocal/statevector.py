@@ -1,13 +1,12 @@
-"""The gate table that the path-sum arena and the stabilizer tableau both
-read, and the gate constructors the protocols build with.
+"""The gate table that the path-sum arena, the stabilizer tableau and the
+dense test reference all read, and the one check of a gate. A gate is a
+pair `(kind, targets)`: a kind of `GATES` and a sequence of qubits.
 
 The module keeps the name it had when it also held a dense statevector
 engine, which now lives with the tests: the benchmark's tracer imports
 `qlocal.statevector` by name, so the rename waits for a change to the tracer.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .topology import Topology
 
@@ -23,46 +22,20 @@ GATES = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    targets: tuple
-
-    def __post_init__(self):
-        try:
-            targets = tuple(self.targets)
-        except TypeError:
-            if self.kind in GATES:
-                raise ValueError(
-                    f"{self.kind} targets must be iterable, got {self.targets!r}"
-                ) from None
-            targets = ()  # check_gate reports the unknown kind
-        check_gate(self.kind, targets)
-        object.__setattr__(self, "targets", targets)
-
-
 def check_gate(kind, targets):
-    """The one gate check, for `Gate` and the arena: a kind of `GATES` on
-    as many distinct targets as its arity."""
+    """The one gate check, for every engine that takes `(kind, targets)`: a
+    kind of `GATES` on a sequence of as many distinct targets as its arity."""
     if kind not in GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
     arity = GATES[kind][0]
-    if len(targets) != arity:
+    try:
+        count = len(targets)
+    except TypeError:
+        raise ValueError(f"{kind} targets must be a sequence, got {targets!r}") from None
+    if count != arity:
         raise ValueError(f"{kind} expects {arity} targets")
     if len(set(targets)) != arity:
         raise ValueError(f"duplicate targets in {kind}")
-
-
-def h(q) -> Gate:
-    return Gate("H", (q,))
-
-
-def s(q) -> Gate:
-    return Gate("S", (q,))
-
-
-def cz(a, b) -> Gate:
-    return Gate("CZ", (a, b))
 
 
 def graph_state_gates(topology: Topology) -> list:
@@ -71,7 +44,6 @@ def graph_state_gates(topology: Topology) -> list:
     Qubit q holds the q-th node in ascending identifier order.
     """
     index = {u: q for q, u in enumerate(topology.nodes)}
-    gates = [h(q) for q in range(topology.num_nodes)]
-    for e in sorted(tuple(sorted(e)) for e in topology.edges):
-        gates.append(cz(index[e[0]], index[e[1]]))
-    return gates
+    gates = [("H", (q,)) for q in range(topology.num_nodes)]
+    edges = sorted(tuple(sorted(e)) for e in topology.edges)
+    return gates + [("CZ", (index[a], index[b])) for a, b in edges]

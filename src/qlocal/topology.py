@@ -135,8 +135,7 @@ def ring_distance(d: int, i: int, j: int) -> int:
 
 def disjoint_copies(topology: Topology, k: int) -> Topology:
     """k disjoint copies; node u of copy c becomes (c, u)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k, 1)
     nodes = [(c, u) for c in range(k) for u in topology.nodes]
     edges = [
         ((c, a), (c, b))

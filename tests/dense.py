@@ -2,9 +2,10 @@
 path-sum arena and the stabilizer tableau against, capped at
 DEFAULT_MAX_QUBITS. No experiment runs it.
 
-Gate set: the kinds in `qlocal.statevector.GATES`. Qubit q corresponds to
-axis q of the amplitude tensor reshaped to [2]*n, i.e. bit q of a basis
-index read in big-endian order.
+A gate is a pair `(kind, targets)`, as for the arena and the tableau, with
+its kind in `qlocal.statevector.GATES`; `h`, `s`, `cz`, `cnot` and `cs`
+build the pairs. Qubit q corresponds to axis q of the amplitude tensor
+reshaped to [2]*n, i.e. bit q of a basis index read in big-endian order.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from qlocal.distributions import OutcomeDistribution
 from qlocal.errors import ResourceLimitError
 from qlocal.sparse import PathSum
-from qlocal.statevector import GATES, Gate
+from qlocal.statevector import GATES, check_gate
 
 DEFAULT_MAX_QUBITS = 26
 # An amplitude within PRUNE_TOL of zero is rounding noise; the exact law
@@ -25,12 +26,24 @@ PRUNE_TOL = 1e-12
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def cnot(control, target) -> Gate:
-    return Gate("CNOT", (control, target))
+def h(q) -> tuple:
+    return "H", (q,)
 
 
-def cs(a, b) -> Gate:
-    return Gate("CS", (a, b))
+def s(q) -> tuple:
+    return "S", (q,)
+
+
+def cz(a, b) -> tuple:
+    return "CZ", (a, b)
+
+
+def cnot(control, target) -> tuple:
+    return "CNOT", (control, target)
+
+
+def cs(a, b) -> tuple:
+    return "CS", (a, b)
 
 
 @dataclass
@@ -57,14 +70,16 @@ def new_state(n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def apply_gate(state: StateVector, kind, targets) -> StateVector:
+    """The state after the gate `(kind, targets)`; `state` is unchanged."""
+    check_gate(kind, targets)
     n = state.num_qubits
-    for q in gate.targets:
+    for q in targets:
         if not (0 <= q < n):
             raise ValueError(f"target {q} out of range for {n} qubits")
-    if gate.kind == "H":
+    if kind == "H":
         # Axis 1 of this view is qubit q: the two amplitudes an H mixes.
-        (q,) = gate.targets
+        (q,) = targets
         pairs = state.amplitudes.reshape(2**q, 2, -1)
         a = pairs[:, 0] * _INV_SQRT2
         b = pairs[:, 1] * _INV_SQRT2
@@ -74,8 +89,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         return StateVector(n, out.reshape(-1))
     amps = state.amplitudes.reshape([2] * n) if n else state.amplitudes
     out = amps.copy()
-    if gate.kind == "CNOT":
-        a, b = gate.targets
+    if kind == "CNOT":
+        a, b = targets
         sel1 = [slice(None)] * n
         sel1[a], sel1[b] = 1, 0
         sel2 = [slice(None)] * n
@@ -83,17 +98,18 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         out[tuple(sel1)], out[tuple(sel2)] = amps[tuple(sel2)], amps[tuple(sel1)]
     else:
         sel = [slice(None)] * n
-        for q in gate.targets:
+        for q in targets:
             sel[q] = 1
-        out[tuple(sel)] *= 1j ** GATES[gate.kind][1]
+        out[tuple(sel)] *= 1j ** GATES[kind][1]
     return StateVector(n, out.reshape(-1))
 
 
 def run_gates(n: int, gates) -> StateVector:
-    """The gates applied in order to the all-zeros state on n qubits."""
+    """The `(kind, targets)` gates applied in order to the all-zeros state
+    on n qubits."""
     state = new_state(n)
-    for gate in gates:
-        state = apply_gate(state, gate)
+    for kind, targets in gates:
+        state = apply_gate(state, kind, targets)
     return state
 
 

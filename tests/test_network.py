@@ -1,5 +1,6 @@
 """Engine semantics: round timing, locality enforcement, reproducibility,
 gate validation, and agreement of the arena with the dense engine."""
+import hashlib
 import itertools
 from collections import OrderedDict
 from functools import reduce
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlocal import network
 from qlocal.affine import AffineSupport
 from qlocal.errors import (
     LocalityError,
@@ -38,7 +40,7 @@ from qlocal.protocols import (
     relation_inputs,
     relation_protocol_programs,
 )
-from qlocal.statevector import GATES, Gate
+from qlocal.statevector import GATES
 from qlocal.topology import Topology, build_script_gd, input_nodes
 
 from dense import apply_gate, dense_vector, exact_distribution, new_state
@@ -363,7 +365,7 @@ def test_arena_agrees_with_dense_engine(ops):
     for kind, order in ops:
         targets = order[:GATES[kind][0]]
         arena.apply("u", 0, kind, [qids[q] for q in targets])
-        state = apply_gate(state, Gate(kind, targets))
+        state = apply_gate(state, kind, targets)
     assert np.allclose(dense_vector(arena.state, qids), state.amplitudes,
                        rtol=0, atol=1e-12)
 
@@ -655,7 +657,7 @@ class StarNode(NodeProgram):
 def test_run_exact_matches_the_dense_law_across_flag_widths():
     state = new_state(len(OWNER))
     for kind, targets in CIRCUIT:
-        state = apply_gate(state, Gate(kind, targets))
+        state = apply_gate(state, kind, targets)
     expected = {}
     for bits, p in exact_distribution(state).items():
         record = (b"",) + tuple(
@@ -901,6 +903,31 @@ def test_one_shot_of_run_sampled_is_the_record_of_run():
                 topology, relation_protocol_programs(d), 2, **kwargs
             ).outputs
             assert record == tuple(outputs[u] for u in topology.nodes)
+
+
+def test_sampled_records_are_unchanged_by_narrow_index_columns(monkeypatch):
+    # every node flags at most one qubit at d=2, so each index column is
+    # uint8; the records are those of wide int64 columns, pinned by digest
+    columns = network._columns
+    dtypes = set()
+
+    def spy(*args):
+        out = columns(*args)
+        dtypes.update(index.dtype for _, index in out if index is not None)
+        return out
+
+    monkeypatch.setattr(network, "_columns", spy)
+    digest = hashlib.sha256()
+    for b in itertools.product((0, 1), repeat=3):
+        records = run_sampled(
+            build_script_gd(2), relation_protocol_programs(2), rounds=2,
+            shots=300, seed=11, inputs=relation_inputs(2, b),
+        )
+        digest.update(repr(records).encode())
+    assert dtypes == {np.dtype(np.uint8)}
+    assert digest.hexdigest() == (
+        "7a61e9ba711e0a402178643f0438646f19c0eec00d2e7c658cd717e5beb76c84"
+    )
 
 
 def test_missing_program_rejected():

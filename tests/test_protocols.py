@@ -266,15 +266,22 @@ def _affine_programs(d):
     return affine_strategy_programs(d, next(all_affine_strategies()), rounds=1)
 
 
+def _relation_inputs(d):
+    return relation_inputs(d, (1, 0, 1))
+
+
 @pytest.mark.parametrize("build", [relation_protocol_programs,
                                    sampling_protocol_programs,
-                                   _affine_programs])
+                                   _affine_programs,
+                                   _relation_inputs])
 def test_program_builders_check_d_and_key_every_node(build):
+    # programs key every node, inputs every input node
     for bad_d in (3, -2, 4.0):
         with pytest.raises(ValueError):
             build(bad_d)
     for d in (2, 4, 6):
-        assert tuple(build(d)) == build_script_gd(d).nodes
+        keyed = input_nodes(d) if build is _relation_inputs else build_script_gd(d).nodes
+        assert tuple(build(d)) == keyed
 
 
 def test_process_gates_keep_the_norm():

@@ -6,7 +6,6 @@ H, which sums a variable out where it can, against the plain rule that never
 does, bit for bit, on 64-qubit states measured up to the highest key bit."""
 import copy
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +16,9 @@ from qlocal.affine import MAX_ENUMERATED_BITS
 from qlocal.errors import EntangledDisposalError, ResourceLimitError
 from qlocal.sparse import PathSum
 from qlocal.stabilizer import circuit_support
-from qlocal.statevector import GATES, Gate, cz, h, s
+from qlocal.statevector import GATES
 
-from dense import cnot, cs, dense_vector, run_gates
+from dense import cnot, cs, cz, dense_vector, h, run_gates, s
 
 # 64 live qubits, one more than the old slot arena held. A key holds 62
 # qubits: 0..62 bar one untouched qubit, so qubit 62 (the old top slot) sits
@@ -32,8 +31,8 @@ def _path_sum(n, gates) -> PathSum:
     state = PathSum()
     for q in range(n):
         state.add(q)
-    for gate in gates:
-        state.apply(gate.kind, gate.targets)
+    for kind, targets in gates:
+        state.apply(kind, targets)
     return state
 
 
@@ -70,7 +69,7 @@ def circuits(draw, kinds=tuple(sorted(GATES))):
         if arity > n:
             continue
         targets = draw(st.permutations(range(n)))[:arity]
-        gates.append(Gate(kind, targets))
+        gates.append((kind, targets))
         if kind == "CS" and paired:
             gates.append(cs(*targets[::-1]))
     qids = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
@@ -315,8 +314,8 @@ def test_h_matches_reference_bit_for_bit(case, pos, seed):
             state.discard(q)
             reference.discard(q)
     local = {q: i for i, q in enumerate(touched)}
-    dense = [replace(g, targets=[local[q] for q in g.targets])
-             for g in gates + [h(pos)]]
+    dense = [(kind, [local[q] for q in targets])
+             for kind, targets in gates + [h(pos)]]
     got = dense_vector(state, touched)
     assert np.allclose(got, dense_vector(reference, touched), rtol=0, atol=1e-12)
     assert np.allclose(got, run_gates(len(touched), dense).amplitudes,

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlocal.errors import ResourceLimitError
-from qlocal.statevector import GATES, Gate, cz, graph_state_gates, h, s
+from qlocal.network import QuantumArena
+from qlocal.stabilizer import Tableau
+from qlocal.statevector import GATES, check_gate, graph_state_gates
 from qlocal.topology import Topology
 
 from dense import (
@@ -14,10 +16,13 @@ from dense import (
     apply_gate,
     cnot,
     cs,
+    cz,
     exact_distribution,
     fidelity,
+    h,
     new_state,
     run_gates,
+    s,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -26,23 +31,23 @@ INV_SQRT2 = 1 / np.sqrt(2)
 _P0, _P1 = np.diag([1, 0]), np.diag([0, 1])
 _X = np.array([[0, 1], [1, 0]])
 REFERENCE = {
-    "H": lambda g: [{0: np.array([[1, 1], [1, -1]]) * INV_SQRT2}],
-    "S": lambda g: [{0: np.diag([1, 1j])}],
-    "CNOT": lambda g: [{0: _P0}, {0: _P1, 1: _X}],
-    "CZ": lambda g: [{}, {0: -2 * _P1, 1: _P1}],
-    "CS": lambda g: [{}, {0: (1j - 1) * _P1, 1: _P1}],
+    "H": [{0: np.array([[1, 1], [1, -1]]) * INV_SQRT2}],
+    "S": [{0: np.diag([1, 1j])}],
+    "CNOT": [{0: _P0}, {0: _P1, 1: _X}],
+    "CZ": [{}, {0: -2 * _P1, 1: _P1}],
+    "CS": [{}, {0: (1j - 1) * _P1, 1: _P1}],
 }
 
 
-def _reference_matrix(n, gate):
-    """The 2^n x 2^n matrix of `gate`: a sum of Kronecker products, each
+def _reference_matrix(n, kind, targets):
+    """The 2^n x 2^n matrix of the gate: a sum of Kronecker products, each
     with the given 2x2 factors on the gate's targets and the identity on
     every other qubit (qubit 0 is the leftmost factor)."""
     total = np.zeros((2**n, 2**n), dtype=complex)
-    for term in REFERENCE[gate.kind](gate):
+    for term in REFERENCE[kind]:
         factors = [np.eye(2)] * n
         for j, op in term.items():
-            factors[gate.targets[j]] = op
+            factors[targets[j]] = op
         product = np.ones((1, 1))
         for f in factors:
             product = np.kron(product, f)
@@ -53,48 +58,48 @@ def _reference_matrix(n, gate):
 def _every_gate(n):
     for kind, (arity, _) in sorted(GATES.items()):
         for targets in itertools.permutations(range(n), arity):
-            yield Gate(kind, targets)
+            yield kind, targets
 
 
 def test_h_on_zero():
-    state = apply_gate(new_state(1), h(0))
+    state = apply_gate(new_state(1), *h(0))
     assert np.allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2])
 
 
 def test_s_phases_only_the_one_component():
-    state = apply_gate(new_state(1), h(0))
-    state = apply_gate(state, s(0))
+    state = apply_gate(new_state(1), *h(0))
+    state = apply_gate(state, *s(0))
     assert np.allclose(state.amplitudes, [INV_SQRT2, 1j * INV_SQRT2])
 
 
 def test_cz_flips_sign_of_11():
     state = new_state(2)
     for q in (0, 1):
-        state = apply_gate(state, h(q))
-    state = apply_gate(state, cz(0, 1))
+        state = apply_gate(state, *h(q))
+    state = apply_gate(state, *cz(0, 1))
     assert np.allclose(state.amplitudes, [0.5, 0.5, 0.5, -0.5])
 
 
 def test_cs_puts_i_on_11():
     state = new_state(2)
     for q in (0, 1):
-        state = apply_gate(state, h(q))
-    state = apply_gate(state, cs(0, 1))
+        state = apply_gate(state, *h(q))
+    state = apply_gate(state, *cs(0, 1))
     assert np.allclose(state.amplitudes, [0.5, 0.5, 0.5, 0.5j])
 
 
 def test_two_cs_compose_to_cz():
     a = new_state(2)
     for q in (0, 1):
-        a = apply_gate(a, h(q))
-    b = apply_gate(apply_gate(a, cs(0, 1)), cs(0, 1))
-    c = apply_gate(a, cz(0, 1))
+        a = apply_gate(a, *h(q))
+    b = apply_gate(apply_gate(a, *cs(0, 1)), *cs(0, 1))
+    c = apply_gate(a, *cz(0, 1))
     assert np.allclose(b.amplitudes, c.amplitudes)
 
 
 def test_cnot_on_plus_zero_makes_bell():
-    state = apply_gate(new_state(2), h(0))
-    state = apply_gate(state, cnot(0, 1))
+    state = apply_gate(new_state(2), *h(0))
+    state = apply_gate(state, *cnot(0, 1))
     assert np.allclose(state.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2])
 
 
@@ -103,18 +108,34 @@ def test_qubit_cap():
         new_state(27)
 
 
+def _arena_apply(kind, targets):
+    arena = QuantumArena()
+    for _ in range(2):
+        arena.create(0)
+    arena.apply(0, 0, kind, targets)
+
+
+# every engine that takes (kind, targets), on two qubits
+ENGINES = {
+    "check_gate": check_gate,
+    "arena": _arena_apply,
+    "tableau": lambda kind, targets: Tableau(2).apply(kind, targets),
+    "dense": lambda kind, targets: apply_gate(new_state(2), kind, targets),
+}
+
+
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        Gate("CNOT", (0, 0))
-    with pytest.raises(ValueError):
-        Gate("H", (0, 1))
-    with pytest.raises(ValueError):
-        Gate("NOPE", (0,))
-    # the kind is checked first, whatever the targets are
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        Gate("NOPE", 5)
-    with pytest.raises(ValueError, match="iterable"):
-        Gate("H", 5)
+    # each engine runs the one gate check, which reads the kind first,
+    # whatever the targets are
+    for (kind, targets, message), apply in itertools.product([
+        ("CNOT", (0, 0), "duplicate targets"),
+        ("H", (0, 1), "expects 1 targets"),
+        ("NOPE", (0,), "unknown gate kind"),
+        ("NOPE", 5, "unknown gate kind"),
+        ("H", 5, "must be a sequence"),
+    ], ENGINES.values()):
+        with pytest.raises(ValueError, match=message):
+            apply(kind, targets)
 
 
 def test_path_graph_state_amplitudes():
@@ -146,8 +167,8 @@ def test_apply_gate_matches_kronecker_reference(n):
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = StateVector(n, amps / np.linalg.norm(amps))
         before = state.amplitudes.copy()
-        out = apply_gate(state, gate)
-        expected = _reference_matrix(n, gate) @ before
+        out = apply_gate(state, *gate)
+        expected = _reference_matrix(n, *gate) @ before
         assert np.max(np.abs(out.amplitudes - expected)) <= 1e-15, gate
         assert np.array_equal(state.amplitudes, before), gate
 
@@ -175,5 +196,5 @@ def test_random_circuits_preserve_norm(ops):
     for kind, a, b in ops:
         targets = (a, b)[:GATES[kind][0]]
         if len(set(targets)) == len(targets):
-            state = apply_gate(state, Gate(kind, targets))
+            state = apply_gate(state, kind, targets)
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-9

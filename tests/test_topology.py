@@ -99,5 +99,6 @@ def test_disjoint_copies():
     assert g.num_nodes == 18
     assert len(g.edges) == 18
     assert g.neighbors((1, 0)) == frozenset({(1, 1), (1, 5)})
-    with pytest.raises(ValueError):
-        disjoint_copies(build_gd(2), 0)
+    for k in (0, True, 2.0):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            disjoint_copies(build_gd(2), k)
