@@ -121,9 +121,6 @@ class AffineSupport:
         # not a buffer of wider integers, and no entry other than a bit
         return len(raw) == self.num_bits and not raw.translate(None, b"\0\1")
 
-    def __len__(self):
-        return 1 << self.dim
-
     def keys(self) -> np.ndarray:
         """Every member packed into an int64 key, ascending."""
         return _span(self.origin, self.columns, self.num_bits, "outcomes")

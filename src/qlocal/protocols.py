@@ -299,21 +299,6 @@ def _set_slots(d: int, strategy: AffineStrategy) -> list:
     return [slot for bit, slot in zip(_coefficient_bits(strategy), _carrier_slots(d)) if bit]
 
 
-def affine_carrier_terms(d: int, strategy: AffineStrategy) -> dict:
-    """Which ring node outputs which affine term, by `_carrier_slots`:
-    {ring label: (constant bit, {input index: 1})} for each node carrying
-    a set bit."""
-    terms = {}
-    for node, origin in _set_slots(d, strategy):
-        const, coeffs = terms.get(node, (0, {}))
-        if origin is None:
-            const = 1
-        else:
-            coeffs[origin] = 1
-        terms[node] = (const, coeffs)
-    return terms
-
-
 # A flooding node sends and receives the same few payloads on every round
 # call, so both directions of the codec are memoized. They are pure, and a
 # `Message` is immutable, so one cached message may go to any node.
@@ -361,23 +346,22 @@ class _FloodingProgram(NodeProgram):
 
 
 class AffineTermProgram(_FloodingProgram):
-    """Ring node of a classical affine strategy: floods, then outputs its
-    assigned affine term of the input bits it has seen. `coeffs` holds the
-    term's (input index, coefficient bit) pairs."""
+    """Ring node of a classical affine strategy: floods, then outputs the
+    XOR of its slots' unit outputs, 1 for a constant (origin None) and the
+    input bit it has seen otherwise. `origins` holds one origin per slot."""
 
-    def __init__(self, rounds, const, coeffs: tuple):
+    def __init__(self, rounds, origins: tuple):
         super().__init__(rounds)
-        self.const = const
-        self.coeffs = coeffs
+        self.origins = origins
 
     def finalize(self, measured):
-        bit = self.const
-        for origin, coeff in self.coeffs:
-            if origin not in self.known:
+        bit = 0
+        for origin in self.origins:
+            if origin is not None and origin not in self.known:
                 raise ProtocolError(
                     f"node {self.ctx.self_id!r} never saw input {origin}"
                 )
-            bit ^= coeff & self.known[origin]
+            bit ^= origin is None or self.known[origin]
         return bytes([bit])
 
 
@@ -409,32 +393,30 @@ def affine_strategy_programs(d: int, strategy: AffineStrategy, rounds: int) -> d
     check_even_d(d)
     check_count("rounds", rounds, 0)
     carriers = _checked_carriers(d, strategy, rounds)
-    programs = {}
-    for u in range(3 * d):
-        const, coeffs = carriers.get(u, (0, ()))
-        programs[u] = AffineTermProgram(rounds, const, coeffs)
+    programs = {u: AffineTermProgram(rounds, carriers.get(u, ())) for u in range(3 * d)}
     for i, w in enumerate(input_nodes(d)):
         programs[w] = InputFloodProgram(rounds, i)
     return programs
 
 
 # k-copies builds one strategy's programs per copy and input; every program
-# shares the cached table's coefficient tuples.
+# shares the cached table's origin tuples.
 @lru_cache(maxsize=1024)
 def _checked_carriers(d: int, strategy: AffineStrategy, rounds: int) -> dict:
-    """`affine_carrier_terms`, with each node's coefficients as a tuple of
-    items, once `affine_strategy_programs`' checks pass."""
+    """{ring node: the origins of its set slots, None for a constant} by
+    `_set_slots`, once `affine_strategy_programs`' checks pass."""
     if rounds > d // 2:
         raise ValueError(f"rounds={rounds} exceeds d/2={d // 2}")
     if not strategy.is_admissible():
         raise ValueError("strategy violates the side-parity constraint")
+    carriers = {}
     for node, origin in _set_slots(d, strategy):
         if origin is not None and ring_distance(d, node, d * origin) + 1 > rounds:
             raise ValueError(
                 f"node v_{node} cannot see input {origin} within {rounds} rounds"
             )
-    carriers = affine_carrier_terms(d, strategy)
-    return {u: (const, tuple(coeffs.items())) for u, (const, coeffs) in carriers.items()}
+        carriers[node] = carriers.get(node, ()) + (origin,)
+    return carriers
 
 
 def affine_output_string(d: int, strategy: AffineStrategy, b) -> tuple:

@@ -25,7 +25,7 @@ from .protocols import (
     all_affine_strategies,
     sampling_protocol_programs,
 )
-from .topology import build_script_gd, check_count, check_even_d, ring_distance
+from .topology import build_script_gd, check_count, check_even_d
 from .verify import enumerate_support
 
 _B_TRIPLES = tuple(product((0, 1), repeat=3))
@@ -38,7 +38,8 @@ def gamma_space(d: int) -> tuple:
 def exact_gamma(d: int) -> OutcomeDistribution:
     """The target joint law Γ = (1/8) Σ_b U(S_b), keyed by
     ((b0,b1,b2), (x_0..x_{3d-1})). The dict holds every support string,
-    786,432 at d=6, so d is capped there."""
+    786,432 at d=6, so d is capped there, after the even-d check."""
+    check_even_d(d)
     if d > 6:
         raise ValueError("exact target law capped at d=6 by the size of its dict")
     entries = {}
@@ -107,11 +108,9 @@ def _bias_table():
     return grid, q
 
 
-def _hit_patterns(d: int, radius: int):
-    """For each strategy of `_strategy_table`: its hit pattern, bit j set
-    when its output string on the j-th triple b is in S_b, and whether it
-    is visible, with every nonconstant term on a node within the given ring
-    distance of the corner holding that input bit.
+def _hit_patterns(d: int) -> np.ndarray:
+    """For each strategy of `_strategy_table`, its hit pattern: bit j is
+    set when its output string on the j-th triple b is in S_b.
 
     A strategy's output string is the XOR of the unit outputs of the
     `_carrier_slots` its 13 coefficient bits set, each one bit at its node;
@@ -121,10 +120,6 @@ def _hit_patterns(d: int, radius: int):
     """
     _, coeffs = _strategy_table()
     slots = _carrier_slots(d)
-    far = np.array([
-        origin is not None and ring_distance(d, node, d * origin) > radius
-        for node, origin in slots
-    ])
     patterns = np.zeros(len(coeffs), dtype=np.int64)
     for j, b in enumerate(_B_TRIPLES):
         outputs = [(origin is None or b[origin]) << node for node, origin in slots]
@@ -133,7 +128,7 @@ def _hit_patterns(d: int, radius: int):
         signs = np.array([sign for _, sign in checks])
         hit = ((coeffs @ parity) % 2 == signs).all(axis=1)
         patterns |= hit.astype(np.int64) << j
-    return patterns, coeffs @ far == 0
+    return patterns
 
 
 def min_tv_affine_adversary(d: int, T: int):
@@ -143,19 +138,17 @@ def min_tv_affine_adversary(d: int, T: int):
     The family: each input bit is drawn with a bias from the 1/22-step
     grid, and the outcome string is an admissible affine strategy whose
     terms only use bits visible within ring distance 2T-1 of their corner.
+    That never restricts it: every nonconstant slot of `_carrier_slots`
+    sits within one hop of its corner and 2T-1 >= 1, so all 512 strategies
+    take part and the result does not depend on T, which is only checked.
     Γ's eight point probabilities per strategy come from the supports, so
     Γ is never built and any even d with T <= d/4 runs. They depend on the
     strategy only through its hit pattern, which triples b it outputs a
-    string of S_b on. The 512 strategies' patterns and visibility come from
-    one GF(2) product of their coefficient matrix with each S_b's parity
-    checks (`_hit_patterns`), and the bias grid runs once per distinct
-    visible pattern (at most 256). The witness is the first visible
-    strategy, in `all_affine_strategies` order, at the minimum.
+    string of S_b on. The 512 patterns come from one GF(2) product of the
+    coefficient matrix with each S_b's parity checks (`_hit_patterns`), and
+    the bias grid runs once per distinct pattern (at most 256). The witness
+    is the first strategy, in `all_affine_strategies` order, at the minimum.
     Returns (min tv, witness).
-
-    The round budget never restricts this family: every nonconstant
-    carrier term sits within one hop of its corner, so at every T >= 1
-    all 512 strategies are visible and the result does not depend on T.
     """
     check_even_d(d)
     check_count("round budget", T, 1)
@@ -163,19 +156,19 @@ def min_tv_affine_adversary(d: int, T: int):
         raise ValueError(f"T={T} exceeds d/4={d // 4}")
     strategies, _ = _strategy_table()
     grid, q = _bias_table()
-    patterns, visible = _hit_patterns(d, 2 * T - 1)
+    patterns = _hit_patterns(d)
     # Γ puts 2^-dim/8 on each string of S_b, so each branch has mass 1/8
     masses = [2.0**-enumerate_support(d, b).dim / 8 for b in _B_TRIPLES]
-    tvs = np.full(len(strategies), np.inf)
+    tvs = np.empty(len(strategies))
     best_g = {}  # hit pattern -> grid index of its minimum
     gap = np.empty_like(q)  # reused: a fresh q-sized temporary per pattern doubles the scan
-    for pattern in np.unique(patterns[visible]).tolist():
+    for pattern in np.unique(patterns).tolist():
         gamma_hits = np.array([m if pattern >> j & 1 else 0.0 for j, m in enumerate(masses)])
         np.abs(np.subtract(q, gamma_hits[None, :], out=gap), out=gap)
         # per bias triple: tv = 1/2 [ sum_b |q_b - gamma_b| + (1 - sum_b gamma_b) ]
         scan = 0.5 * (gap.sum(axis=1) + 1.0 - gamma_hits.sum())
         g = best_g[pattern] = int(np.argmin(scan))
-        tvs[visible & (patterns == pattern)] = scan[g]
+        tvs[patterns == pattern] = scan[g]
     s = int(np.argmin(tvs))
     tv = float(tvs[s])
     g = best_g[int(patterns[s])]

@@ -15,14 +15,14 @@ from __future__ import annotations
 from .affine import AffineSupport, _transposed
 from .errors import NonCliffordError
 from .statevector import GATES, check_gate
+from .topology import check_count, is_count
 
 
 class Tableau:
     """Stabilizer generators of an n-qubit state, starting from |0...0>."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("tableau needs at least one qubit")
+        check_count("qubit count", n, 1)
         self.n = n
         self.x = [0] * n
         self.z = [1 << q for q in range(n)]
@@ -37,7 +37,7 @@ class Tableau:
         """
         check_gate(kind, targets)
         for q in targets:
-            if not (0 <= q < self.n):
+            if not (is_count(q, 0) and q < self.n):
                 raise ValueError(f"target {q} out of range for {self.n} qubits")
         x, z = self.x, self.z
         if kind == "H":

@@ -18,6 +18,7 @@ from pathlib import Path
 from .affine import AffineSupport
 from .protocols import (
     AffineStrategy,
+    _check_bits,
     affine_output_string,
     all_affine_strategies,
     process_gates,
@@ -86,8 +87,10 @@ def default_cache_dir() -> Path:
 def enumerate_support(d: int, b) -> AffineSupport:
     """The law of the ring process's outcome strings on input b, in the
     arena's `generator_law` type, read off a stabilizer tableau run of the
-    process's circuit and memoized in memory per (d, b)."""
-    b = tuple(b)
+    process's circuit and memoized in memory per (d, b). d and b are
+    checked before the cache is read, so 4.0 never passes for 4."""
+    check_even_d(d)
+    b = _check_bits(b)
     if (d, b) not in _SUPPORT_CACHE:
         _SUPPORT_CACHE[d, b] = circuit_support(3 * d, process_gates(d, b))
     return _SUPPORT_CACHE[d, b]

@@ -17,6 +17,7 @@ from qlocal.distributions import OutcomeDistribution
 from qlocal.errors import ResourceLimitError
 from qlocal.sparse import PathSum
 from qlocal.statevector import GATES, check_gate
+from qlocal.topology import is_count
 
 DEFAULT_MAX_QUBITS = 26
 # An amplitude within PRUNE_TOL of zero is rounding noise; the exact law
@@ -75,7 +76,7 @@ def apply_gate(state: StateVector, kind, targets) -> StateVector:
     check_gate(kind, targets)
     n = state.num_qubits
     for q in targets:
-        if not (0 <= q < n):
+        if not (is_count(q, 0) and q < n):
             raise ValueError(f"target {q} out of range for {n} qubits")
     if kind == "H":
         # Axis 1 of this view is qubit q: the two amplitudes an H mixes.

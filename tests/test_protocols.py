@@ -19,7 +19,7 @@ from qlocal.protocols import (
     AffineStrategy,
     GraphStateProgram,
     InputFloodProgram,
-    affine_carrier_terms,
+    _carrier_slots,
     affine_output_string,
     affine_strategy_programs,
     all_affine_strategies,
@@ -30,7 +30,7 @@ from qlocal.protocols import (
     sampling_protocol_programs,
 )
 from qlocal.statevector import graph_state_gates
-from qlocal.topology import Topology, build_script_gd, input_nodes
+from qlocal.topology import Topology, build_script_gd, input_nodes, ring_distance
 from qlocal.verify import enumerate_support
 
 from dense import StateVector, dense_vector, exact_distribution, fidelity, run_gates
@@ -319,19 +319,30 @@ def test_carrier_terms_realize_the_parities():
 
 
 def test_strategy_protocol_reproduces_output_string():
-    strategy = AffineStrategy((0, 1, 0, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1))
-    assert strategy.is_admissible()
+    # every strategy's programs output the carrier table's string
     d = 4
-    for b in itertools.product((0, 1), repeat=3):
-        result = run(
-            build_script_gd(d),
-            affine_strategy_programs(d, strategy, rounds=2),
-            rounds=2,
-            inputs=relation_inputs(d, b),
-            classical_only=True,
-        )
-        got = tuple(result.outputs[i][0] for i in range(3 * d))
-        assert got == affine_output_string(d, strategy, b)
+    for strategy in all_affine_strategies():
+        for b in ((1, 1, 1), (0, 1, 1)):
+            result = run(
+                build_script_gd(d),
+                affine_strategy_programs(d, strategy, rounds=2),
+                rounds=2,
+                inputs=relation_inputs(d, b),
+                classical_only=True,
+            )
+            got = tuple(result.outputs[i][0] for i in range(3 * d))
+            assert got == affine_output_string(d, strategy, b), (strategy, b)
+
+
+def test_strategy_protocol_needs_every_input_bit():
+    # a silent input node leaves its bit unknown to the terms that read it
+    d = 4
+    strategy = AffineStrategy((0, 0, 0, 1), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+    programs = affine_strategy_programs(d, strategy, rounds=2)
+    programs[input_nodes(d)[2]] = NodeProgram()
+    with pytest.raises(ProtocolError, match="never saw input 2"):
+        run(build_script_gd(d), programs, rounds=2,
+            inputs=relation_inputs(d, (1, 1, 1)), classical_only=True)
 
 
 def test_round_budget_enforced():
@@ -360,13 +371,11 @@ def test_constant_strategies_run_in_any_budget():
 
 
 def test_carrier_terms_only_use_adjacent_labels():
-    d = 6
-    for strategy in itertools.islice(all_affine_strategies(), 50):
-        for node, (_, coeffs) in affine_carrier_terms(d, strategy).items():
-            from qlocal.topology import ring_distance
-
-            for origin in coeffs:
-                assert ring_distance(d, node, d * origin) <= 1
+    # the invariant that lets the adversary search ignore the round budget:
+    # every nonconstant slot is within one hop of the corner holding its bit
+    for d in range(2, 200, 2):
+        for node, origin in _carrier_slots(d):
+            assert origin is None or ring_distance(d, node, d * origin) <= 1, (d, node)
 
 
 # --- derandomization --------------------------------------------------------

@@ -8,7 +8,7 @@ from qlocal.distributions import OutcomeDistribution, marginal, tv_distance
 from qlocal.network import run_exact, run_sampled
 from qlocal.protocols import (
     AffineStrategy,
-    affine_carrier_terms,
+    _set_slots,
     affine_output_string,
     all_affine_strategies,
     process_gates,
@@ -112,7 +112,7 @@ def test_empirical_sampling_converges():
         )
         support = enumerate_support(d, b)
         uniform = OutcomeDistribution(
-            {x: 1 / len(support) for x in support}, space=("bits", 3 * d)
+            {x: 1 / 2**support.dim for x in support}, space=("bits", 3 * d)
         )
         assert tv_distance(emp, uniform) <= 0.02, b
 
@@ -160,9 +160,12 @@ def test_min_tv_at_d6_is_unchanged():
 
 def test_the_round_budget_never_limits_the_adversary():
     # every nonconstant carrier term sits within one hop of its corner, so
-    # each T >= 1 (radius 2T-1 >= 1) sees all 512 strategies
+    # each T >= 1 (radius 2T-1 >= 1) sees all 512 strategies; radius 0
+    # would not, so the reference model's filter is not vacuous
+    strategies = list(all_affine_strategies())
+    assert all(_visible(16, 2 * T - 1, s) for T in (1, 2, 3, 4) for s in strategies)
+    assert 0 < sum(_visible(16, 0, s) for s in strategies) < len(strategies)
     results = [min_tv_affine_adversary(16, T) for T in (1, 2, 3, 4)]
-    assert all(separation._hit_patterns(16, 2 * T - 1)[1].all() for T in (1, 2, 3, 4))
     tv, witness = results[0]
     assert all(r == (tv, witness) for r in results[1:])
 
@@ -188,9 +191,8 @@ def _visible(d, radius, strategy):
     """Every nonconstant term of the strategy sits within the given ring
     distance of the corner holding its input bit."""
     return all(
-        ring_distance(d, node, d * origin) <= radius
-        for node, (_, coeffs) in affine_carrier_terms(d, strategy).items()
-        for origin in coeffs
+        origin is None or ring_distance(d, node, d * origin) <= radius
+        for node, origin in _set_slots(d, strategy)
     )
 
 
@@ -305,16 +307,12 @@ def test_packed_hits_equal_the_output_strings_in_the_supports(d, T):
     strategies, coeffs = separation._strategy_table()
     assert strategies == tuple(all_affine_strategies())
     assert coeffs.tolist() == [list(s.even + s.right + s.bottom + s.left) for s in strategies]
-    patterns, visible = separation._hit_patterns(d, 2 * T - 1)
-    assert len(patterns) == len(visible) == len(strategies) == 512
-    for strategy, pattern, seen in zip(strategies, patterns.tolist(), visible.tolist()):
+    patterns = separation._hit_patterns(d)
+    assert len(patterns) == len(strategies) == 512
+    # no radius limits the family: the reference filter at budget T admits all
+    assert all(_visible(d, 2 * T - 1, s) for s in strategies)
+    for strategy, pattern in zip(strategies, patterns.tolist()):
         assert [bool(pattern >> j & 1) for j in range(8)] == [
             affine_output_string(d, strategy, b) in s for b, s in zip(TRIPLES, supports)
         ], strategy
-        assert seen == _visible(d, 2 * T - 1, strategy), strategy
-    assert len(set(patterns[visible].tolist())) > 1
-    # every carrier is within one hop of its corner, so each radius >= 1
-    # shows all; at radius 0 only the corner terms and constants are seen
-    _, visible = separation._hit_patterns(d, 0)
-    assert visible.tolist() == [_visible(d, 0, s) for s in strategies]
-    assert 0 < visible.sum() < len(strategies)
+    assert len(set(patterns.tolist())) > 1

@@ -72,7 +72,7 @@ def _support_sizes(d):
     """(size, expected size) per input triple: the support holds 2^(3d-1)
     strings for an odd-weight triple and 2^(3d-2) for an even-weight one."""
     return [
-        (len(enumerate_support(d, b)), 2 ** (3 * d - 2 + sum(b) % 2))
+        (len(enumerate_support(d, b).keys()), 2 ** (3 * d - 2 + sum(b) % 2))
         for b in itertools.product((0, 1), repeat=3)
     ]
 
@@ -109,6 +109,27 @@ def test_support_enumeration_writes_nothing(tmp_path, monkeypatch):
     for b in itertools.product((0, 1), repeat=3):
         enumerate_support(2, b)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_support_checks_d_and_b_before_the_cache(monkeypatch, warm):
+    # 4.0 == 4 as a dict key, so with a warm cache only the check stops 4.0
+    from qlocal.separation import exact_gamma
+
+    monkeypatch.setattr(verify, "_SUPPORT_CACHE", {})
+    if warm:
+        for b in TRIPLES:
+            enumerate_support(4, b)
+    for bad in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="even integer"):
+            enumerate_support(bad, (1, 0, 1))
+        with pytest.raises(ValueError, match="even integer"):
+            exact_gamma(bad)
+    for bad_b in ((1, 0), (1, 0, 2)):
+        with pytest.raises(ValueError, match="three bits"):
+            enumerate_support(4, bad_b)
+    with pytest.raises(ValueError, match="even integer"):
+        exact_gamma("x")
 
 
 def test_support_closed_under_side_reflection_when_b1_equals_b2():
