@@ -2,7 +2,7 @@
 networks, with the triangle relation and sampling separation experiments
 built on top of it."""
 
-from .distributions import OutcomeDistribution, marginal, tv_distance
+from .distributions import GammaLaw, OutcomeDistribution, marginal, tv_distance
 from .errors import (
     EntangledDisposalError,
     LocalityError,

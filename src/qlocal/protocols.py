@@ -29,6 +29,7 @@ from .topology import (
     corner_nodes,
     disjoint_copies,
     input_nodes,
+    is_count,
     ring_distance,
 )
 
@@ -204,11 +205,16 @@ def k_copies_topology(d: int, k: int) -> Topology:
     return disjoint_copies(build_script_gd(d), k)
 
 
+def _is_bit(x) -> bool:
+    """The one rule for bits: 0 or 1 by `is_count`'s, so not 1.0 or True."""
+    return is_count(x, 0) and x <= 1
+
+
 def _check_bits(b) -> tuple:
     b = tuple(b)
-    if len(b) != 3 or any(bit not in (0, 1) for bit in b):
+    if len(b) != 3 or not all(map(_is_bit, b)):
         raise ValueError("input must be three bits")
-    return b
+    return tuple(map(int, b))
 
 
 def process_gates(d: int, b) -> list:
@@ -249,9 +255,9 @@ class AffineStrategy:
             ("left", self.left, 3),
         ):
             coeffs = tuple(coeffs)
-            object.__setattr__(self, name, coeffs)
-            if len(coeffs) != width or any(c not in (0, 1) for c in coeffs):
+            if len(coeffs) != width or not all(map(_is_bit, coeffs)):
                 raise ValueError(f"{name} needs {width} coefficient bits")
+            object.__setattr__(self, name, tuple(map(int, coeffs)))
 
     def is_admissible(self) -> bool:
         """q_R ^ q_B ^ q_L vanishes on all eight inputs."""

@@ -2,11 +2,12 @@
 
 The target law pairs three unbiased input bits with the ring measurement
 outcome of the process run on those bits, which is uniform on the affine
-support S_b that `verify.enumerate_support` gives. A classical adversary
-from the lower bound's family draws the bit triple from a product
-distribution and emits a deterministic affine outcome string per triple;
-the search returns the family's minimum total variation distance to the
-target.
+support S_b that `verify.enumerate_support` gives. Both it and the
+distributed protocol's law are `GammaLaw`s, arrays of packed (b, x) keys.
+A classical adversary from the lower bound's family draws the bit triple
+from a product distribution and emits a deterministic affine outcome
+string per triple; the search returns the family's minimum total
+variation distance to the target.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .distributions import OutcomeDistribution
+from .distributions import GammaLaw
 from .network import _exact_branches
 from .protocols import (
     AffineStrategy,
@@ -31,50 +32,46 @@ from .verify import enumerate_support
 _B_TRIPLES = tuple(product((0, 1), repeat=3))
 
 
-def gamma_space(d: int) -> tuple:
-    return ("gamma", d)
-
-
-def exact_gamma(d: int) -> OutcomeDistribution:
-    """The target joint law Γ = (1/8) Σ_b U(S_b), keyed by
-    ((b0,b1,b2), (x_0..x_{3d-1})). The dict holds every support string,
-    786,432 at d=6, so d is capped there, after the even-d check."""
+def exact_gamma(d: int) -> GammaLaw:
+    """The target joint law Γ = (1/8) Σ_b U(S_b): each string of S_b, with
+    b's bits above it, has probability 2^-dim(S_b)/8. Γ holds every support
+    string, 786,432 at d=6 and about 50 M at d=8, so d is capped at 6,
+    after the even-d check."""
     check_even_d(d)
     if d > 6:
-        raise ValueError("exact target law capped at d=6 by the size of its dict")
-    entries = {}
-    for b in _B_TRIPLES:
-        support = enumerate_support(d, b)
-        p = 2.0**-support.dim / 8
-        for x in support:
-            entries[(b, x)] = p
-    return OutcomeDistribution(entries, space=gamma_space(d))
+        raise ValueError("exact target law capped at d=6: at d=8, Γ alone has about 50 M keys")
+    keys, probs = [], []
+    for packed in range(8):  # b ascending as the key's top bits read it
+        support = enumerate_support(d, tuple(packed >> i & 1 for i in range(3)))
+        keys.append(support.keys() | packed << 3 * d)
+        probs.append(np.full(len(keys[-1]), 2.0**-support.dim / 8))
+    return GammaLaw(d, np.concatenate(keys), np.concatenate(probs))
 
 
-def sampling_exact_law(d: int) -> OutcomeDistribution:
+def sampling_exact_law(d: int) -> GammaLaw:
     """Exact output law of the distributed 2-round sampling protocol: the
-    node output columns of each randomness branch give one byte row per
-    outcome, keyed (input bits, ring string) as in `exact_gamma`.
+    node output columns of each randomness branch give one row of output
+    bits per outcome, packed as `exact_gamma`'s keys are, and equal keys
+    add up in branch and row order.
 
     This is the independent oracle for the cross-check: the engine
     enumerates the three randomness bits and the terminal measurement,
     knowing nothing about the centralized process.
     """
-    entries = {}
+    keys, probs = [], []
     topology, programs = build_script_gd(d), lambda: sampling_protocol_programs(d)
-    for weight, probs, columns in _exact_branches(topology, programs, 2, None):
-        # node order is 0..3d-1 then the three input nodes, one byte each
-        rows = np.empty((len(probs), len(columns)), dtype=np.uint8)
+    for weight, p, columns in _exact_branches(topology, programs, 2, None):
+        # node order is 0..3d-1 then the three input nodes, one bit each
+        rows = np.empty((len(p), len(columns)), dtype=np.uint8)
         for j, (table, index) in enumerate(columns):
-            if any(len(out) != 1 for out in table):
-                raise ValueError(f"sampling outputs must be one byte each, got {table!r}")
+            if any(out not in (b"\x00", b"\x01") for out in table):
+                raise ValueError(f"sampling outputs must be one byte each, 0 or 1, got {table!r}")
             outs = np.frombuffer(b"".join(table), dtype=np.uint8)
             rows[:, j] = outs[0] if index is None else outs[index]
-        bits, x = rows[:, 3 * d:].tolist(), rows[:, :3 * d].tolist()
-        keys = zip(map(tuple, bits), map(tuple, x))
-        for key, p in zip(keys, probs):
-            entries[key] = entries.get(key, 0.0) + weight * float(p)
-    return OutcomeDistribution(entries, space=gamma_space(d))
+        keys.append(rows @ (1 << np.arange(len(columns))))
+        probs.append(weight * p)
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    return GammaLaw(d, keys, np.bincount(inverse, weights=np.concatenate(probs)))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlocal.distributions import OutcomeDistribution, marginal, tv_distance
+from qlocal.distributions import GammaLaw, OutcomeDistribution, marginal, tv_distance
+
+from packing import gamma_law
 
 SPACE = ("bits", 2)
 
@@ -93,15 +95,65 @@ def test_marginal_of_point_mass():
 
 
 def test_gamma_space_coordinates():
-    g = OutcomeDistribution(
-        {((0, 1, 0), (1, 1)): 0.5, ((1, 1, 0), (0, 0)): 0.5},
-        space=("gamma", 2),
-    )
-    assert marginal(g, "b1").probability(1) == pytest.approx(1.0)
-    assert marginal(g, "b0").probability(0) == pytest.approx(0.5)
+    g = gamma_law(2, {((0, 1, 0), (1, 1, 0, 0, 0, 0)): 0.5,
+                      ((1, 1, 0), (0, 0, 0, 0, 0, 1)): 0.5})
+    assert g.space == ("gamma", 2)
+    assert marginal(g, "b1").entries == {1: 1.0}
+    assert marginal(g, "b0").probability(0) == 0.5
     for coordinate in ("b9", "b", ("b", 0), ("x", 0)):
         with pytest.raises(ValueError):
             marginal(g, coordinate)
+    # a dict law of the same space has no input-bit coordinates
+    with pytest.raises(ValueError):
+        marginal(OutcomeDistribution(g.entries, g.space), "b1")
+
+
+def test_gamma_law_checks_its_arrays():
+    keys = np.array([1, 2, 3], dtype=np.int64)
+    for bad_probs in ([0.5, float("nan"), 0.5], [0.75, -0.25, 0.5], [0.25, 0.25, 0.25]):
+        with pytest.raises(ValueError, match="sum to 1"):
+            GammaLaw(2, keys, bad_probs)
+    for bad_keys, match in (([1, 3, 2], "ascending"), ([1, 2, 2], "ascending"),
+                            ([1.0, 2.0, 3.0], "int64"), ([[1, 2, 3]], "int64")):
+        with pytest.raises(ValueError, match=match):
+            GammaLaw(2, np.array(bad_keys), [0.25, 0.25, 0.5])
+    law = GammaLaw(2, keys, [0.25, 0.25, 0.5])
+    for array in (law.keys, law.probs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # the law holds copies, so its arguments stay writable and apart
+    keys[0] = 0
+    assert law.keys.tolist() == [1, 2, 3]
+
+
+def _gamma_key_pairs(rng, d):
+    """Key sets of pairs of laws: apart, on one support, and drawn
+    independently, so that supports overlap in part."""
+    half = 1 << 3 * d + 2
+    for size in (1, 3, 40):
+        for _ in range(10):
+            low, high = (np.sort(rng.choice(half, size, replace=False)) for _ in range(2))
+            yield low, high + half
+            yield low, low
+            yield low, np.sort(rng.choice(2 * half, size, replace=False))
+
+
+def test_packed_laws_equal_their_dict_laws():
+    rng = np.random.default_rng(3)
+    d = 2
+    for key_pair in _gamma_key_pairs(rng, d):
+        weights = [rng.random(len(keys)) for keys in key_pair]
+        p, q = (GammaLaw(d, keys, w / w.sum()) for keys, w in zip(key_pair, weights))
+        p_dict, q_dict = (OutcomeDistribution(g.entries, g.space) for g in (p, q))
+        assert tv_distance(p, q) == pytest.approx(tv_distance(p_dict, q_dict), rel=0, abs=1e-15)
+        for law in (p, q):
+            assert list(law.items()) == list(law.entries.items())
+            assert len(law) == len(law.entries)
+            for i in range(3):
+                ref = {}
+                for (b, _), prob in law.entries.items():
+                    ref[b[i]] = ref.get(b[i], 0.0) + prob
+                assert marginal(law, f"b{i}").entries == ref
 
 
 def test_data_processing_inequality_spot_check():

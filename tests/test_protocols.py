@@ -251,8 +251,10 @@ def test_graph_state_node_rejects_a_broken_relay_exchange(fault):
 
 def test_relation_inputs_shape():
     assert relation_inputs(2, (1, 0, 1)) == {6: b"\x01", 7: b"\x00", 8: b"\x01"}
-    with pytest.raises(ValueError):
-        relation_inputs(2, (1, 2, 0))
+    assert relation_inputs(2, np.array([1, 0, 1])) == relation_inputs(2, (1, 0, 1))
+    for bad in ((1, 2, 0), (1.0, 0, 1), (True, 0, 1)):
+        with pytest.raises(ValueError, match="three bits"):
+            relation_inputs(2, bad)
 
 
 def test_sampling_programs_declare_one_bit_at_inputs():
@@ -299,6 +301,20 @@ def test_admissible_strategy_count():
     # 32 distinct side triples, each paired with all 16 even functions
     triples = {(s.right, s.bottom, s.left) for s in strategies}
     assert len(triples) == 32
+
+
+@pytest.mark.parametrize("bit", [1.0, True, 2, -1, "1"])
+def test_strategy_coefficients_follow_the_bit_rule(bit):
+    with pytest.raises(ValueError, match="even needs 4 coefficient bits"):
+        AffineStrategy((bit, 0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="left needs 3 coefficient bits"):
+        AffineStrategy((0, 0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, bit))
+
+
+def test_strategy_coefficients_are_plain_ints():
+    strategy = AffineStrategy(np.ones(4, dtype=np.int64), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert strategy.even == (1, 1, 1, 1)
+    assert all(type(c) is int for c in strategy.even)
 
 
 def test_inadmissible_strategy_detected():

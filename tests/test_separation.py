@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qlocal import separation
-from qlocal.distributions import OutcomeDistribution, marginal, tv_distance
+from qlocal.distributions import GammaLaw, OutcomeDistribution, marginal, tv_distance
 from qlocal.network import run_exact, run_sampled
 from qlocal.protocols import (
     AffineStrategy,
+    RelationProgram,
     _set_slots,
     affine_output_string,
     all_affine_strategies,
@@ -18,7 +19,6 @@ from qlocal.protocols import (
 )
 from qlocal.separation import (
     exact_gamma,
-    gamma_space,
     min_tv_affine_adversary,
     sampling_exact_law,
 )
@@ -26,11 +26,10 @@ from qlocal.topology import build_script_gd, ring_distance
 from qlocal.verify import enumerate_support
 
 from dense import exact_distribution, run_gates
+from packing import gamma_law
 
 
-def adversary_gamma_law(
-    d: int, strategy: AffineStrategy, biases
-) -> OutcomeDistribution:
+def adversary_gamma_law(d: int, strategy: AffineStrategy, biases) -> GammaLaw:
     """The joint law of one family adversary: b_i ~ Bernoulli(biases[i])
     independently, outcome string deterministic per triple."""
     biases = tuple(float(p) for p in biases)
@@ -44,7 +43,7 @@ def adversary_gamma_law(
         if q > 0:
             x = affine_output_string(d, strategy, b)
             entries[(b, x)] = entries.get((b, x), 0.0) + q
-    return OutcomeDistribution(entries, space=gamma_space(d))
+    return gamma_law(d, entries)
 
 
 def test_gamma_normalization_and_marginals():
@@ -274,8 +273,10 @@ def test_min_tv_rejects_non_integer_input(d, T, match):
 def test_sampling_law_rejects_outputs_wider_than_a_byte(monkeypatch):
     d = 2
     # the ring nodes flag their qubits; the input nodes flag nothing, so
-    # their one output is checked on a path of its own
-    cases = [(0, b"\x00\x01"), (1, b""), (3 * d, b"\x00\x01"), (3 * d + 2, b"")]
+    # their one output is checked on a path of its own; a byte other than 0
+    # or 1 is no key bit
+    cases = [(0, b"\x00\x01"), (1, b""), (3 * d, b"\x00\x01"), (3 * d + 2, b""),
+             (0, b"\x02"), (3 * d, b"\x02")]
     for node, out in cases:
         def programs(d, node=node, out=out):
             made = sampling_protocol_programs(d)
@@ -285,6 +286,27 @@ def test_sampling_law_rejects_outputs_wider_than_a_byte(monkeypatch):
         monkeypatch.setattr(separation, "sampling_protocol_programs", programs)
         with pytest.raises(ValueError, match="one byte each"):
             sampling_exact_law(d)
+
+
+class _CornerSkipsS(RelationProgram):
+    """A corner that never applies its conditional S."""
+
+    def _after_disentangle(self):
+        super(RelationProgram, self)._after_disentangle()
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_a_corner_that_skips_s_is_a_quarter_away_on_both_paths(d, monkeypatch):
+    def programs(d):
+        made = sampling_protocol_programs(d)
+        made[0] = _CornerSkipsS()
+        return made
+
+    monkeypatch.setattr(separation, "sampling_protocol_programs", programs)
+    target, law = exact_gamma(d), sampling_exact_law(d)
+    as_dicts = [OutcomeDistribution(g.entries, g.space) for g in (target, law)]
+    assert tv_distance(target, law) == pytest.approx(0.25, abs=1e-12)
+    assert tv_distance(*as_dicts) == pytest.approx(0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 4])

@@ -125,7 +125,8 @@ def test_support_checks_d_and_b_before_the_cache(monkeypatch, warm):
             enumerate_support(bad, (1, 0, 1))
         with pytest.raises(ValueError, match="even integer"):
             exact_gamma(bad)
-    for bad_b in ((1, 0), (1, 0, 2)):
+    # (1.0, 0, 1) and (True, 0, 1) equal (1, 0, 1) as dict keys too
+    for bad_b in ((1, 0), (1, 0, 2), (1.0, 0, 1), (True, 0, 1)):
         with pytest.raises(ValueError, match="three bits"):
             enumerate_support(4, bad_b)
     with pytest.raises(ValueError, match="even integer"):
