@@ -209,7 +209,9 @@ class NodeContext:
 @dataclass
 class ExecutionResult:
     outputs: dict
-    message_rounds: int  # round calls in which some node sent a message
+    # round calls in which some node sent a message; a flood sends only
+    # while some node's knowledge still changes
+    message_rounds: int
     arena: QuantumArena
 
 
@@ -258,17 +260,17 @@ def _execute_rounds(
     `randomness(u, nbits)` is node u's random string: it must hold exactly
     the `randomness_bits` that u's program declares.
     """
-    if set(programs) != set(topology.nodes):
+    plan = _views(topology)
+    if programs.keys() != plan.keys():
         raise ValueError("need exactly one program per node")
     check_count("round count", rounds, 0)
     inputs = inputs or {}
-    if not all(map(topology.has_node, inputs)):
+    if not inputs.keys() <= plan.keys():
         raise ValueError("an inputs key names no node of the topology")
     arena = QuantumArena()
     sent_in = set()
     contexts = {}
     nodes = []  # (u, program, context, neighbors), in node order
-    plan = _views(topology)
     for u, (view, _) in plan.items():
         prog = programs[u]
         nbits = _randomness_width(prog, u)
@@ -393,7 +395,10 @@ def _records(columns, rows) -> list:
 
 
 def _finalize_all(programs, contexts, order, bits) -> list:
-    """Each row's record: the tuple of node outputs in node order."""
+    """Each row's record: the tuple of node outputs in node order. With
+    `bits` None no node flagged a qubit, and there is one record."""
+    if bits is None:
+        return [tuple(_finalize(programs[u], u, {}) for u in order)]
     return _records(_columns(programs, contexts, order, bits), len(bits))
 
 
@@ -401,8 +406,7 @@ def _sample_outputs(programs, contexts, order, arena, seed, shots) -> list:
     """Draw `shots` terminal measurements; one record per shot."""
     qids = _flagged_qubits(contexts, order, arena)
     if not qids:  # nothing to draw: one record serves every shot
-        bits = np.zeros((1, 0), dtype=np.uint8)
-        return _finalize_all(programs, contexts, order, bits) * shots
+        return _finalize_all(programs, contexts, order, None) * shots
     bits = arena.sample_over(qids, shots, np.random.default_rng(seed))
     return _finalize_all(programs, contexts, order, bits)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import ProtocolError
-from .network import EMPTY_MESSAGE, Message, NodeProgram, role_of
+from .network import Message, NodeProgram, role_of
 from .statevector import graph_state_gates
 from .topology import (
     Topology,
@@ -305,14 +305,14 @@ def _set_slots(d: int, strategy: AffineStrategy) -> list:
     return [slot for bit, slot in zip(_coefficient_bits(strategy), _carrier_slots(d)) if bit]
 
 
-# A flooding node sends and receives the same few payloads on every round
-# call, so both directions of the codec are memoized. They are pure, and a
+# Flooding nodes send and receive the same few payloads in every execution,
+# so both directions of the codec are memoized. They are pure, and a
 # `Message` is immutable, so one cached message may go to any node.
 # `literal_eval` gives back node ids as they were sent, tuples and strings alike.
 @lru_cache(maxsize=4096)
 def _encode_known(items: tuple) -> Message:
-    """The message of a `known` dict's sorted items, with no payload if none."""
-    return Message(repr(items).encode()) if items else EMPTY_MESSAGE
+    """The message of a `known` dict's sorted items."""
+    return Message(repr(items).encode())
 
 
 @lru_cache(maxsize=4096)
@@ -324,7 +324,15 @@ def _decode_known(payload: bytes):
 
 class _FloodingProgram(NodeProgram):
     """Classical full-information flooding for T rounds; subclasses decide
-    what seeds the flood and what to output."""
+    what seeds the flood and what to output.
+
+    Change-only: a node sends `known` to every neighbor in a round call
+    t < T only if `known` changed since its last send (a seeded node sends
+    in round 0), and returns None otherwise. Every node's `known` after
+    every round call is the same as if all nodes re-sent it each round,
+    since a pair a node already held reached its neighbors the round it
+    first arrived.
+    """
 
     def __init__(self, rounds: int):
         self.rounds = rounds
@@ -335,20 +343,26 @@ class _FloodingProgram(NodeProgram):
     def init(self, ctx):
         self.ctx = ctx
         self.known = self._seed_known(ctx)
-        self._out = None  # the outbox of `known`, until an update changes it
+        self._fresh = bool(self.known)  # changed since the last send
 
     def round(self, t, inbox):
-        for msg in inbox.values():
+        for v, msg in inbox.items():
             if msg.payload:
-                if not self.known.items() >= (pairs := _decode_known(msg.payload)):
+                try:
+                    pairs = _decode_known(msg.payload)
+                except (ValueError, TypeError, SyntaxError) as err:
+                    raise ProtocolError(
+                        f"node {self.ctx.self_id!r} got a flood payload from "
+                        f"{v!r} in round {t} that is not (node, value) pairs"
+                    ) from err
+                if not self.known.items() >= pairs:
                     self.known.update(pairs)
-                    self._out = None
-        if t >= self.rounds:
-            return {}
-        if self._out is None:
+                    self._fresh = True
+        if self._fresh and t < self.rounds:
+            self._fresh = False
             msg = _encode_known(tuple(sorted(self.known.items())))
-            self._out = dict.fromkeys(self.ctx.neighbors, msg)
-        return self._out
+            return dict.fromkeys(self.ctx.neighbors, msg)
+        return None
 
 
 class AffineTermProgram(_FloodingProgram):
@@ -357,7 +371,7 @@ class AffineTermProgram(_FloodingProgram):
     input bit it has seen otherwise. `origins` holds one origin per slot."""
 
     def __init__(self, rounds, origins: tuple):
-        super().__init__(rounds)
+        self.rounds = rounds
         self.origins = origins
 
     def finalize(self, measured):
@@ -376,7 +390,7 @@ class InputFloodProgram(_FloodingProgram):
     outputs nothing (relation game)."""
 
     def __init__(self, rounds, origin):
-        super().__init__(rounds)
+        self.rounds = rounds
         self.origin = origin
 
     def _seed_known(self, ctx):

@@ -42,6 +42,7 @@ from qlocal.protocols import (
 )
 from qlocal.statevector import GATES
 from qlocal.topology import Topology, build_script_gd, input_nodes
+from qlocal.verify import best_affine_success
 
 from dense import apply_gate, dense_vector, exact_distribution, new_state
 
@@ -801,6 +802,52 @@ def test_outbox_order_leaves_results_unchanged():
                    inputs=inputs, classical_only=True).outputs
 
     assert k_copies_outputs(_reversed) == k_copies_outputs(_unchanged)
+
+
+class CountingOutbox(NodeProgram):
+    """Runs another program and appends each nonempty outbox it returns,
+    as a tuple of its messages, to `sent`."""
+
+    def __init__(self, inner, sent):
+        self.inner = inner
+        self.sent = sent
+
+    def init(self, ctx):
+        self.inner.init(ctx)
+
+    def round(self, t, inbox):
+        out = self.inner.round(t, inbox)
+        if out:
+            self.sent.append(tuple(out.values()))
+        return out
+
+    def finalize(self, measured):
+        return self.inner.finalize(measured)
+
+
+def test_a_k_copies_execution_sends_only_new_knowledge():
+    # per copy: 3 input nodes send their bit to their corner in round 0,
+    # and the 3 corners send what they learned to their 3 neighbors in
+    # round 1; every other node never learns anything new
+    d, k = 4, 3
+    _, witness = best_affine_success()
+    sent = []
+    programs = {
+        (c, u): CountingOutbox(p, sent)
+        for c in range(k)
+        for u, p in affine_strategy_programs(d, witness, 2).items()
+    }
+    inputs = {
+        (c, w): bytes([bit])
+        for c, b in enumerate([(0, 1, 1), (1, 0, 1), (1, 1, 1)])
+        for w, bit in zip(input_nodes(d), b)
+    }
+    result = run(k_copies_topology(d, k), programs, rounds=2, inputs=inputs,
+                 classical_only=True)
+    assert len(sent) == 18
+    assert sum(map(len, sent)) == 36
+    assert all(msg.payload for out in sent for msg in out)
+    assert result.message_rounds == 2
 
 
 def test_node_randomness_is_stable_and_seed_dependent():

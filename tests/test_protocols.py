@@ -1,3 +1,4 @@
+import ast
 import itertools
 
 import numpy as np
@@ -17,6 +18,8 @@ from qlocal.network import (
 )
 from qlocal.protocols import (
     AffineStrategy,
+    AffineTermProgram,
+    DerandomizedProgram,
     GraphStateProgram,
     InputFloodProgram,
     _carrier_slots,
@@ -438,12 +441,102 @@ def test_derandomize_on_node_ids(node_id):
 
 
 def test_flooding_sends_a_fresh_message_when_a_known_bit_changes():
-    # the cached message follows the contents of `known`, not its size
+    # change-only flooding: nothing new, nothing sent; a changed bit, not
+    # only a grown `known`, is news and goes out in a fresh message
     prog = InputFloodProgram(2, origin=0)
     prog.init(NodeContext(LocalView("w", frozenset({0}), 2), b"\x00", (), None, False))
     first = prog.round(0, {0: EMPTY_MESSAGE})[0]
-    assert prog.round(1, {0: first})[0] is first  # nothing new: the same message
-    update = Message(repr(((0, 1),)).encode())
-    second = prog.round(1, {0: update})[0]
     assert first.payload == b"((0, 0),)"
-    assert second.payload == b"((0, 1),)"
+    assert prog.round(1, {0: first}) is None
+    update = Message(repr(((0, 1),)).encode())
+    assert prog.round(1, {0: update})[0].payload == b"((0, 1),)"
+
+
+@pytest.mark.parametrize(
+    "payload", [b"xyz", b"\xff", b"(1, 2)", b"((0, 1, 2),)", b"((0, 1),"]
+)
+@pytest.mark.parametrize(
+    "make",
+    [lambda: DerandomizedProgram(2, xor_oracle), lambda: AffineTermProgram(2, ())],
+    ids=["derandomized", "affine-term"],
+)
+def test_an_undecodable_flood_payload_is_a_protocol_error(make, payload):
+    prog = make()
+    prog.init(NodeContext(LocalView("u", frozenset({"v"}), 2), None, (), None, False))
+    with pytest.raises(ProtocolError, match=r"node 'u' .* from 'v' in round 1"):
+        prog.round(1, {"v": Message(payload)})
+
+
+class _FullFlood(DerandomizedProgram):
+    """The reference flood: re-sends all of `known` on every round call
+    t < T, and an empty message while it knows nothing."""
+
+    def round(self, t, inbox):
+        for msg in inbox.values():
+            if msg.payload:
+                self.known.update(ast.literal_eval(msg.payload.decode()))
+        if t >= self.rounds:
+            return None
+        items = tuple(sorted(self.known.items()))
+        msg = Message(repr(items).encode()) if items else EMPTY_MESSAGE
+        return dict.fromkeys(self.ctx.neighbors, msg)
+
+
+class _KnownTrace(NodeProgram):
+    """Runs a flooding program and records a copy of its `known` after
+    every round call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.trace = []
+
+    def init(self, ctx):
+        self.inner.init(ctx)
+
+    def round(self, t, inbox):
+        out = self.inner.round(t, inbox)
+        self.trace.append(dict(self.inner.known))
+        return out
+
+    def finalize(self, measured):
+        return self.inner.finalize(measured)
+
+
+@pytest.mark.parametrize("ids", ["int", "tuple"])
+def test_change_only_flooding_matches_full_flooding(ids):
+    rng = np.random.default_rng(35)
+    label = (lambda i: i) if ids == "int" else (lambda i: ("n", i % 3, i))
+    for _ in range(12):
+        n = int(rng.integers(2, 8))
+        while True:
+            edges = [(label(i), label(j)) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.4]
+            try:
+                topo = Topology([label(i) for i in range(n)], edges)
+                break
+            except ValueError:  # not connected: draw again
+                continue
+        inputs = {u: bytes([int(rng.integers(2))]) for u in topo.nodes
+                  if rng.random() < 0.7}
+        for T in range(4):
+            traces, outputs = [], []
+            for cls in (_FullFlood, DerandomizedProgram):
+                programs = {u: _KnownTrace(cls(T, xor_oracle)) for u in topo.nodes}
+                result = run(topo, programs, rounds=T, inputs=inputs,
+                             classical_only=True)
+                traces.append({u: p.trace for u, p in programs.items()})
+                outputs.append(result.outputs)
+            assert traces[0] == traces[1], (edges, inputs, T)
+            assert outputs[0] == outputs[1]
+
+
+def test_flooding_past_the_diameter_sends_only_while_knowledge_moves():
+    # on the path 0-1-2 the ends learn the far end's bit in round call 2
+    # and pass it back to node 1, which has nothing new; calls 3 and 4
+    # send nothing, where full flooding would send in all five calls 0-4
+    path = Topology(range(3), [(0, 1), (1, 2)])
+    programs = derandomize_function_protocol(path, xor_oracle, rounds=5)
+    inputs = {0: b"\x01", 1: b"\x00", 2: b"\x01"}
+    result = run(path, programs, rounds=5, inputs=inputs, classical_only=True)
+    assert result.message_rounds == 3
+    assert set(result.outputs.values()) == {b"\x00"}
