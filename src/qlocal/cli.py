@@ -9,6 +9,7 @@ exceeded resource limit.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from itertools import product
@@ -65,14 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _rows_for(args):
-    params, row = EXPERIMENTS[args.experiment]
+    row = EXPERIMENTS[args.experiment]
+    params = inspect.signature(row).parameters
     if "d" in params:
         for d in args.d:
             check_even_d(d)
     ranges = [
         getattr(args, p) if p in _SWEPT else [getattr(args, p)] for p in params
     ]
-    return [row(*values) for values in product(*ranges)]
+    return [{"experiment": args.experiment, **row(*values)}
+            for values in product(*ranges)]
 
 
 def format_table(rows) -> str:

@@ -23,7 +23,8 @@ class LocalityError(SimulationError):
 
 
 class ProtocolError(SimulationError):
-    """A node program violated the execution contract (bad message, late send)."""
+    """A node program violated the execution contract (bad message, late
+    send), or a node got an input or payload it cannot read."""
 
 
 class ModelViolationError(SimulationError):

@@ -1,8 +1,8 @@
 """The experiment registry: one row function per desk-scale check.
 
-`EXPERIMENTS` maps each experiment's name to its parameters and its row
-function. A row is a flat dict whose `ok` is the experiment's check: True
-exactly when the reproduced number meets the paper's claim.
+`EXPERIMENTS` maps each experiment's name to its row function. A row is a
+flat dict whose `ok` is the experiment's check: True exactly when the
+reproduced number meets the paper's claim.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ def relation_validity(d, shots, seed):
             valid += outcome in support
             total += 1
     return {
-        "experiment": "relation-validity",
         "d": d,
         "shots": shots,
         "seed": seed,
@@ -57,7 +56,6 @@ def relation_validity(d, shots, seed):
 def _lemma2():
     record = verify.lemma2_exhaustive()
     return {
-        "experiment": "lemma2",
         "admissible": record.admissible_combinations,
         "all_four": record.satisfying_all_four,
         "max_satisfied": record.max_equalities_satisfied,
@@ -68,7 +66,6 @@ def _lemma2():
 def _affine_bound():
     frac, witness = verify.best_affine_success()
     return {
-        "experiment": "affine-bound",
         "best_success": str(frac),
         "witness_even": list(witness.even),
         "witness_right": list(witness.right),
@@ -125,7 +122,6 @@ def _subgraph_fidelity(d, shots, seed):
         min_fid = min(min_fid, fid)
         rounds_ok = rounds_ok and msg_rounds == 2
     return {
-        "experiment": "subgraph-fidelity",
         "d": d,
         "cases": len(assignments),
         "min_fidelity": min_fid,
@@ -140,7 +136,6 @@ def _gamma_exact(d):
     tv = tv_distance(target, protocol_law)
     marg = [marginal(target, f"b{i}").probability(1) for i in range(3)]
     return {
-        "experiment": "gamma-exact",
         "d": d,
         "tv": tv,
         "b_marginals": marg,
@@ -151,7 +146,6 @@ def _gamma_exact(d):
 def _tv_adversary(d, T):
     tv, witness = separation.min_tv_affine_adversary(d, T)
     return {
-        "experiment": "tv-adversary",
         "d": d,
         "T": T,
         "min_tv": tv,
@@ -197,7 +191,6 @@ def k_copies(d, k):
         hits += run_k_copies_protocol(topology, d, k, witness, inputs_per_copy)
     measured = Fraction(hits, len(cases))
     return {
-        "experiment": "k-copies",
         "d": d,
         "k": k,
         "predicted": str(predicted),
@@ -216,33 +209,30 @@ def xor_oracle(node, known):
 def derandomize_demo():
     cycle = Topology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     programs_for = lambda: derandomize_function_protocol(cycle, xor_oracle, 2)
+    cases = list(product((0, 1), repeat=4))
     correct = 0
-    total = 0
-    for bits in product((0, 1), repeat=4):
+    for bits in cases:
         inputs = {u: bytes([bits[u]]) for u in range(4)}
         result = run(
             cycle, programs_for(), rounds=2, inputs=inputs, classical_only=True
         )
         want = bits[0] ^ bits[1] ^ bits[2] ^ bits[3]
-        total += 1
         correct += all(result.outputs[u] == bytes([want]) for u in range(4))
     return {
-        "experiment": "derandomize-demo",
         "correct": correct,
-        "total": total,
-        "ok": correct == total,
+        "total": len(cases),
+        "ok": correct == len(cases),
     }
 
 
-# name -> (parameters, row function). The row function takes the parameters
-# in this order.
+# name -> row function; the CLI reads the parameters off its signature
 EXPERIMENTS = {
-    "relation-validity": (("d", "shots", "seed"), relation_validity),
-    "lemma2": ((), _lemma2),
-    "affine-bound": ((), _affine_bound),
-    "subgraph-fidelity": (("d", "shots", "seed"), _subgraph_fidelity),
-    "gamma-exact": (("d",), _gamma_exact),
-    "tv-adversary": (("d", "T"), _tv_adversary),
-    "k-copies": (("d", "k"), k_copies),
-    "derandomize-demo": ((), derandomize_demo),
+    "relation-validity": relation_validity,
+    "lemma2": _lemma2,
+    "affine-bound": _affine_bound,
+    "subgraph-fidelity": _subgraph_fidelity,
+    "gamma-exact": _gamma_exact,
+    "tv-adversary": _tv_adversary,
+    "k-copies": k_copies,
+    "derandomize-demo": derandomize_demo,
 }

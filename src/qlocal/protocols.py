@@ -37,22 +37,17 @@ from .topology import (
 class GraphStateProgram(NodeProgram):
     """Distributed 2-round subgraph graph-state construction.
 
-    The indicator bit is the node's LOCAL-model input: the first byte of
-    `ctx.input`. After the run, `self.qubit` is the node's share of the
+    The indicator bit is the node's LOCAL-model input: `ctx.input` is one
+    byte, 0 or 1. After the run, `self.qubit` is the node's share of the
     constructed state (|+> for unselected nodes).
     """
 
     def _indicator(self, ctx):
-        if ctx.input is None:
-            raise ProtocolError(f"node {ctx.self_id!r} got no subgraph indicator bit")
-        return ctx.input[0]
+        return _read_bit(ctx.self_id, "indicator bit", ctx.input)
 
     def init(self, ctx):
         self.ctx = ctx
-        c = self._indicator(ctx)
-        if c not in (0, 1):
-            raise ValueError("indicator must be a bit")
-        self.c = int(c)
+        self.c = self._indicator(ctx)
         self.qubit = None
         self._relays = {}
 
@@ -79,13 +74,11 @@ class GraphStateProgram(NodeProgram):
                 msg = inbox[v]
                 if not msg.qubits:
                     continue  # a classical neighbor: no edge to entangle
-                if len(msg.qubits) != 1 or len(msg.payload) != 1:
-                    raise ProtocolError(
-                        f"node {ctx.self_id!r} needs one relay and one "
-                        f"indicator byte from {v!r}"
-                    )
+                if len(msg.qubits) != 1:
+                    raise ProtocolError(f"node {ctx.self_id!r} needs one relay from {v!r}")
                 (relay,) = msg.qubits
-                if self.c and msg.payload[0]:
+                c = _read_bit(ctx.self_id, f"indicator bit from {v!r}", msg.payload)
+                if self.c and c:
                     ctx.apply("CS", self.qubit, relay)
                 out[v] = Message(b"", (relay,))
             return out
@@ -130,9 +123,7 @@ class RelationProgram(GraphStateSampleProgram):
         return 1
 
     def _input_bit(self, ctx):
-        if ctx.input is None:
-            raise ProtocolError(f"input node {ctx.self_id!r} got no input bit")
-        return ctx.input[0]
+        return _read_bit(ctx.self_id, "input bit", ctx.input)
 
     def init(self, ctx):
         self.role = role_of(ctx.view)
@@ -149,11 +140,8 @@ class RelationProgram(GraphStateSampleProgram):
             return {}
         if t == 1 and self.role == "corner":
             bits = [m.payload for m in inbox.values() if not m.qubits]
-            if len(bits) != 1 or len(bits[0]) != 1:
-                raise ProtocolError(
-                    f"corner {self.ctx.self_id!r} needs one input bit"
-                )
-            self.b = bits[0][0]
+            self.b = _read_bit(self.ctx.self_id, "input bit from its input node",
+                               bits[0] if len(bits) == 1 else None)
         return super().round(t, inbox)
 
     def _after_disentangle(self):
@@ -208,6 +196,13 @@ def k_copies_topology(d: int, k: int) -> Topology:
 def _is_bit(x) -> bool:
     """The one rule for bits: 0 or 1 by `is_count`'s, so not 1.0 or True."""
     return is_count(x, 0) and x <= 1
+
+
+def _read_bit(node, what, raw) -> int:
+    """The one rule for a bit a node reads: one byte, 0 or 1, else a ProtocolError."""
+    if raw in (b"\0", b"\1"):
+        return raw[0]
+    raise ProtocolError(f"node {node!r} needs one {what}, got {raw!r}")
 
 
 def _check_bits(b) -> tuple:
@@ -394,9 +389,7 @@ class InputFloodProgram(_FloodingProgram):
         self.origin = origin
 
     def _seed_known(self, ctx):
-        if ctx.input is None:
-            raise ProtocolError(f"input node {ctx.self_id!r} got no input bit")
-        return {self.origin: ctx.input[0]}
+        return {self.origin: _read_bit(ctx.self_id, "input bit", ctx.input)}
 
 
 def affine_strategy_programs(d: int, strategy: AffineStrategy, rounds: int) -> dict:
@@ -474,6 +467,10 @@ class DerandomizedProgram(_FloodingProgram):
     def _seed_known(self, ctx):
         if ctx.input is None:
             return {}
+        if len(ctx.input) != 1:  # one byte: the oracle defines its domain
+            raise ProtocolError(
+                f"node {ctx.self_id!r} needs one input byte, got {ctx.input!r}"
+            )
         return {ctx.self_id: ctx.input[0]}
 
     def finalize(self, measured):

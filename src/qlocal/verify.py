@@ -40,8 +40,9 @@ def parities(d: int, outcome) -> tuple:
     di + 1."""
     check_even_d(d)
     outcome = tuple(outcome)
-    if len(outcome) != 3 * d:
-        raise ValueError(f"outcome must have length {3 * d}")
+    # entries read as bytes, by the bit rule of `AffineSupport` membership
+    if len(outcome) != 3 * d or bytes(outcome).translate(None, b"\0\1"):
+        raise ValueError(f"outcome must be {3 * d} bits")
     return tuple(
         sum(bits) & 1
         for bits in (outcome[0::2], outcome[1:d:2], outcome[d + 1:2 * d:2],

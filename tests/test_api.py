@@ -94,3 +94,21 @@ def test_the_tracer_finds_the_round_loop_and_the_programs(monkeypatch):
         if owner is None:
             missing.append(f"{module}:{path}")
     assert missing == []
+
+
+def _input_subscripts(path):
+    """The top-level definition around each `ctx.input[...]` or
+    `self.ctx.input[...]` in the module at `path`."""
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "input"
+                    and ast.unparse(node.value.value) in ("ctx", "self.ctx")):
+                yield getattr(top, "name", None)
+
+
+def test_only_the_derandomizer_indexes_a_node_input():
+    # every bit a protocol reads goes through `protocols._read_bit`; the
+    # derandomizer reads a byte whose domain its oracle defines
+    assert set(_input_subscripts(PACKAGE / "protocols.py")) == {"DerandomizedProgram"}

@@ -22,6 +22,7 @@ from qlocal.protocols import (
     DerandomizedProgram,
     GraphStateProgram,
     InputFloodProgram,
+    RelationProgram,
     _carrier_slots,
     affine_output_string,
     affine_strategy_programs,
@@ -39,6 +40,9 @@ from qlocal.verify import enumerate_support
 from dense import StateVector, dense_vector, exact_distribution, fidelity, run_gates
 
 TRIANGLE = Topology(range(3), [(0, 1), (1, 2), (2, 0)])
+
+# what `protocols._read_bit` refuses: no bit, no byte, a byte not 0 or 1, two bytes
+BAD_BITS = (None, b"", b"\x02", b"\x01\x00")
 
 
 def _dense_fidelity(topology, assignment, program=GraphStateProgram):
@@ -136,9 +140,12 @@ def test_indicator_from_inputs():
 
 
 def test_missing_indicator_rejected():
+    # no input, and an input that is not one byte 0 or 1, alike
     topo = Topology([0, 1], [(0, 1)])
-    with pytest.raises(ProtocolError):
-        run(topo, {u: GraphStateProgram() for u in topo.nodes}, rounds=2)
+    for raw in BAD_BITS:
+        with pytest.raises(ProtocolError, match="^node 0 needs one indicator bit"):
+            run(topo, {u: GraphStateProgram() for u in topo.nodes}, rounds=2,
+                inputs={0: raw, 1: b"\x01"})
 
 
 def test_relation_protocol_outputs_follow_process_law():
@@ -214,9 +221,17 @@ def test_discarding_an_entangled_relay_raises():
             inputs=dict.fromkeys(TRIANGLE.nodes, b"\x01"))
 
 
-@pytest.mark.parametrize("input_program", [GraphStateProgram, NodeProgram])
+class _SendsTwo(RelationProgram):
+    """Relation input node that sends the byte 2 as its bit."""
+
+    def _input_bit(self, ctx):
+        return 2
+
+
+@pytest.mark.parametrize("input_program", [GraphStateProgram, NodeProgram, _SendsTwo])
 def test_corner_rejects_an_input_node_that_sends_no_bit(input_program):
-    # a graph-state input node sends a relay, a bare one sends nothing
+    # a graph-state input node sends a relay, a bare one sends nothing, and
+    # a 2 is no bit
     d = 2
     programs = relation_protocol_programs(d)
     programs[input_nodes(d)[0]] = input_program()
@@ -232,19 +247,23 @@ class _BadNeighbour(NodeProgram):
         self.fault = fault
 
     def round(self, t, inbox):
+        if t == 1 and self.fault != "keeps-relay":
+            return {0: Message(b"", inbox[0].qubits)}  # hands the relay back
         if t != 0:
-            return {}  # keeps the relay it was sent
+            return {}
         qubits = (self.ctx.new_qubit(),)
         payload = b"\x01"
         if self.fault == "two-qubits":
             qubits += (self.ctx.new_qubit(),)
         elif self.fault == "empty-payload":
             payload = b""
+        elif self.fault == "indicator-2":
+            payload = b"\x02"
         return {0: Message(payload, qubits)}
 
 
 @pytest.mark.parametrize("fault", ["keeps-relay", "two-qubits",
-                                   "empty-payload"])
+                                   "empty-payload", "indicator-2"])
 def test_graph_state_node_rejects_a_broken_relay_exchange(fault):
     topo = Topology([0, 1], [(0, 1)])
     programs = {0: GraphStateProgram(), 1: _BadNeighbour(fault)}
@@ -287,6 +306,17 @@ def test_program_builders_check_d_and_key_every_node(build):
     for d in (2, 4, 6):
         keyed = input_nodes(d) if build is _relation_inputs else build_script_gd(d).nodes
         assert tuple(build(d)) == keyed
+
+
+@pytest.mark.parametrize("raw", BAD_BITS, ids=["none", "empty", "two", "two-bytes"])
+@pytest.mark.parametrize("build", [relation_protocol_programs, _affine_programs],
+                         ids=["relation", "affine-flood"])
+def test_an_input_node_reads_one_bit(build, raw):
+    # the relation input node and InputFloodProgram read their bit alike
+    w = input_nodes(2)[0]
+    with pytest.raises(ProtocolError, match=f"^node {w} needs one input bit"):
+        run(build_script_gd(2), build(2), rounds=2,
+            inputs={**relation_inputs(2, (1, 0, 1)), w: raw})
 
 
 def test_process_gates_keep_the_norm():
@@ -465,6 +495,19 @@ def test_an_undecodable_flood_payload_is_a_protocol_error(make, payload):
     prog.init(NodeContext(LocalView("u", frozenset({"v"}), 2), None, (), None, False))
     with pytest.raises(ProtocolError, match=r"node 'u' .* from 'v' in round 1"):
         prog.round(1, {"v": Message(payload)})
+
+
+def test_a_derandomized_node_reads_one_input_byte():
+    # the oracle defines the domain, so any one byte seeds; no input, nothing
+    view = LocalView("u", frozenset({"v"}), 2)
+    for raw, known in ((None, {}), (b"\x05", {"u": 5})):
+        prog = DerandomizedProgram(2, xor_oracle)
+        prog.init(NodeContext(view, raw, (), None, False))
+        assert prog.known == known
+    for raw in (b"", b"\x01\x00"):
+        prog = DerandomizedProgram(2, xor_oracle)
+        with pytest.raises(ProtocolError, match="^node 'u' needs one input byte"):
+            prog.init(NodeContext(view, raw, (), None, False))
 
 
 class _FullFlood(DerandomizedProgram):

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qlocal import verify
@@ -32,6 +33,9 @@ def test_parities_of_single_bits():
     # corners and even side nodes only feed the even parity
     assert parities(4, single_one(4, 4)) == (1, 0, 0, 0)
     assert parities(4, single_one(4, 2)) == (1, 0, 0, 0)
+    # entries are read as bytes, as support membership reads them
+    assert parities(4, (True,) + (0,) * 11) == (1, 0, 0, 0)
+    assert parities(4, np.array(single_one(4, 1))) == (0, 1, 0, 0)
 
 
 def test_parities_are_linear():
@@ -47,6 +51,11 @@ def test_parities_length_check():
         parities(2, (0,) * 5)
     with pytest.raises(ValueError):  # the right length, but d is odd
         parities(3, (0,) * 9)
+    not_bits = (2, 2) + (0,) * 9 + (2,)  # summed, each 2 would read as a 0
+    with pytest.raises(ValueError, match="bits"):
+        parities(4, not_bits)
+    with pytest.raises(ValueError, match="bits"):
+        is_valid(4, (1, 0, 0), not_bits)
 
 
 def test_check_prop1_universal_identity():
