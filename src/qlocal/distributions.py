@@ -7,13 +7,18 @@ when their spaces match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .topology import check_even_d
+from .topology import check_even_d, is_count
 
 _SUM_TOL = 1e-12
+
+
+def _check_probabilities(probs):
+    # written so that a NaN fails
+    if not ((probs >= -_SUM_TOL).all() and abs(probs.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"probabilities must be >= 0 and sum to 1, not {probs.sum()}")
 
 
 @dataclass(frozen=True)
@@ -22,13 +27,7 @@ class OutcomeDistribution:
     space: tuple
 
     def __post_init__(self):
-        # written so that a NaN fails both checks
-        for p in self.entries.values():
-            if not p >= -_SUM_TOL:
-                raise ValueError(f"probability {p} is negative or NaN")
-        total = sum(self.entries.values())
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        _check_probabilities(np.fromiter(self.entries.values(), float, len(self.entries)))
 
     def probability(self, key) -> float:
         return self.entries.get(key, 0.0)
@@ -53,35 +52,25 @@ class GammaLaw:
             raise ValueError("keys must be int64, aligned with probs in one dimension")
         if not (keys[1:] > keys[:-1]).all():
             raise ValueError("keys must be strictly ascending")
-        # written so that a NaN fails both checks
-        if not ((probs >= -_SUM_TOL).all() and abs(probs.sum() - 1.0) <= 1e-9):
-            raise ValueError(f"probabilities must be >= 0 and sum to 1, not {probs.sum()}")
+        _check_probabilities(probs)
         keys.flags.writeable = probs.flags.writeable = False
         self.d, self.space, self.keys, self.probs = d, ("gamma", d), keys, probs
 
     def items(self):
-        """The ((b, x), probability) pairs, by key, without `entries`."""
+        """The ((b, x), probability) pairs, by ascending key."""
         n = 3 * self.d
         bits = (self.keys[:, None] >> np.arange(n + 3)) & 1
         keys = zip(map(tuple, bits[:, n:].tolist()), map(tuple, bits[:, :n].tolist()))
         return zip(keys, self.probs.tolist())
-
-    @cached_property
-    def entries(self) -> dict:
-        return dict(self.items())
-
-    def probability(self, key) -> float:
-        return self.entries.get(key, 0.0)
-
-    def __len__(self):
-        return len(self.keys)
 
 
 def tv_distance(p: OutcomeDistribution | GammaLaw, q: OutcomeDistribution | GammaLaw) -> float:
     """Total variation distance: half the l1 distance over the joint support."""
     if p.space != q.space:
         raise ValueError(f"mismatched outcome spaces: {p.space!r} vs {q.space!r}")
-    if isinstance(p, GammaLaw) and isinstance(q, GammaLaw):
+    if type(p) is not type(q):
+        raise ValueError(f"laws of two types: {type(p).__name__} and {type(q).__name__}")
+    if isinstance(p, GammaLaw):
         # each law's keys land at their places in the sorted union
         keys = np.union1d(p.keys, q.keys)
         gap = np.zeros(len(keys))
@@ -96,15 +85,17 @@ def tv_distance(p: OutcomeDistribution | GammaLaw, q: OutcomeDistribution | Gamm
 
 
 def marginal(dist: OutcomeDistribution | GammaLaw, coordinate) -> OutcomeDistribution:
-    """Exact projection of a distribution onto one record coordinate: an
-    index into its keys, or one of a `GammaLaw`'s input bits "b0", "b1"
-    and "b2"."""
+    """Exact projection of a distribution onto one record coordinate: one
+    of a `GammaLaw`'s input bits "b0", "b1" and "b2", or an index (an
+    integer by `is_count`) into every key of an `OutcomeDistribution`."""
     if isinstance(dist, GammaLaw) and coordinate in ("b0", "b1", "b2"):
         bits = (dist.keys >> 3 * dist.d + int(coordinate[1])) & 1
         sums = np.bincount(bits, weights=dist.probs, minlength=2)
         # only the values that occur, as the loop below gives them
         out = {c: float(sums[c]) for c in range(bits.min(), bits.max() + 1)}
-    elif isinstance(coordinate, int):
+    elif isinstance(dist, OutcomeDistribution) and is_count(coordinate, 0) and all(
+        coordinate < len(key) for key in dist.entries
+    ):
         out = {}
         for key, prob in dist.entries.items():
             out[key[coordinate]] = out.get(key[coordinate], 0.0) + prob

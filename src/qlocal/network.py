@@ -267,6 +267,9 @@ def _execute_rounds(
     inputs = inputs or {}
     if not inputs.keys() <= plan.keys():
         raise ValueError("an inputs key names no node of the topology")
+    for u, raw in inputs.items():
+        if raw is not None and type(raw) is not bytes:
+            raise ValueError(f"node {u!r} got a {type(raw).__name__} input, not bytes or None")
     arena = QuantumArena()
     sent_in = set()
     contexts = {}

@@ -78,7 +78,6 @@ def sampling_exact_law(d: int) -> GammaLaw:
 class AdversaryWitness:
     strategy: AffineStrategy
     biases: tuple
-    tv: float
 
 
 @cache
@@ -170,4 +169,4 @@ def min_tv_affine_adversary(d: int, T: int):
     tv = float(tvs[s])
     g = best_g[int(patterns[s])]
     biases = tuple(float(grid[i]) for i in np.unravel_index(g, (len(grid),) * 3))
-    return tv, AdversaryWitness(strategies[s], biases, tv)
+    return tv, AdversaryWitness(strategies[s], biases)

@@ -4,6 +4,13 @@ the tests.
 A name counts as called when it appears as a name or attribute in the
 package (its __init__.py re-exports aside) or in perfbench/. A public name
 that only tests use goes into TEST_ONLY here on purpose, with the reason.
+
+The check matches by name alone, so it has a blind spot: a method passes
+when any other object's attribute of the same name is read, and dunders
+(`__len__`, `__iter__`, ...) are not checked at all. A
+`GammaLaw.probability` that only tests call would pass, for one, because
+`OutcomeDistribution.probability` is read. Classes whose surface matters
+get a pin of their own methods below.
 """
 import ast
 from importlib import import_module
@@ -50,6 +57,15 @@ def _used_names():
 
 def test_every_name_has_a_caller_outside_the_tests():
     assert _defined_names() - _used_names() == set(TEST_ONLY)
+
+
+def test_a_gamma_law_is_its_arrays():
+    # no dict face: `items()` is its only reader, and no method rebuilds Γ
+    # as a mapping keyed by (b, x) tuples
+    tree = ast.parse((PACKAGE / "distributions.py").read_text())
+    (gamma,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GammaLaw"]
+    methods = {f.name for f in gamma.body if isinstance(f, ast.FunctionDef)}
+    assert methods == {"__init__", "items"}
 
 
 def _imports(module):

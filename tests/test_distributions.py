@@ -15,12 +15,15 @@ def dist(entries, **kw):
 
 
 def test_probabilities_must_sum_to_one():
-    with pytest.raises(ValueError):
+    # the one rule GammaLaw also checks, with its message
+    with pytest.raises(ValueError, match="sum to 1"):
         dist({(0, 0): 0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to 1"):
         dist({(0, 0): 1.5, (1, 1): -0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to 1"):
         OutcomeDistribution({"a": float("nan")}, space=())
+    with pytest.raises(ValueError, match="sum to 1"):
+        dist({(0, 0): float("nan"), (1, 1): 1.0})
 
 
 def test_tv_examples():
@@ -66,6 +69,15 @@ def test_tv_space_mismatch():
         tv_distance(p, q)
 
 
+def test_tv_refuses_a_gamma_law_against_a_dict_law():
+    # one space, two law types: neither is converted to the other
+    g = gamma_law(2, {((0, 1, 0), (1, 1, 0, 0, 0, 0)): 1.0})
+    as_dict = OutcomeDistribution(dict(g.items()), g.space)
+    for p, q in ((g, as_dict), (as_dict, g)):
+        with pytest.raises(ValueError, match="laws of two types"):
+            tv_distance(p, q)
+
+
 def _random_dist(rng, n_outcomes=6):
     w = rng.random(n_outcomes)
     w /= w.sum()
@@ -94,18 +106,31 @@ def test_marginal_of_point_mass():
     assert marginal(p, 0).entries == {1: 1.0}
 
 
+def test_marginal_index_is_a_count_within_every_key():
+    p = dist({(0, 0): 0.5, (0, 1): 0.5})
+    assert marginal(p, np.int64(1)).entries == marginal(p, 1).entries == {0: 0.5, 1: 0.5}
+    for coordinate in (True, -1, 2, 5, 1.0):
+        with pytest.raises(ValueError, match="not defined for space"):
+            marginal(p, coordinate)
+    # past the length of one key, though not of the other
+    ragged = OutcomeDistribution({(0,): 0.5, (0, 1): 0.5}, space=("ragged",))
+    with pytest.raises(ValueError, match="not defined for space"):
+        marginal(ragged, 1)
+
+
 def test_gamma_space_coordinates():
     g = gamma_law(2, {((0, 1, 0), (1, 1, 0, 0, 0, 0)): 0.5,
                       ((1, 1, 0), (0, 0, 0, 0, 0, 1)): 0.5})
     assert g.space == ("gamma", 2)
     assert marginal(g, "b1").entries == {1: 1.0}
     assert marginal(g, "b0").probability(0) == 0.5
-    for coordinate in ("b9", "b", ("b", 0), ("x", 0)):
+    # a Γ law has only its input-bit coordinates, not a key index
+    for coordinate in ("b9", "b", ("b", 0), ("x", 0), 0, 1):
         with pytest.raises(ValueError):
             marginal(g, coordinate)
     # a dict law of the same space has no input-bit coordinates
     with pytest.raises(ValueError):
-        marginal(OutcomeDistribution(g.entries, g.space), "b1")
+        marginal(OutcomeDistribution(dict(g.items()), g.space), "b1")
 
 
 def test_gamma_law_checks_its_arrays():
@@ -144,14 +169,12 @@ def test_packed_laws_equal_their_dict_laws():
     for key_pair in _gamma_key_pairs(rng, d):
         weights = [rng.random(len(keys)) for keys in key_pair]
         p, q = (GammaLaw(d, keys, w / w.sum()) for keys, w in zip(key_pair, weights))
-        p_dict, q_dict = (OutcomeDistribution(g.entries, g.space) for g in (p, q))
+        p_dict, q_dict = (OutcomeDistribution(dict(g.items()), g.space) for g in (p, q))
         assert tv_distance(p, q) == pytest.approx(tv_distance(p_dict, q_dict), rel=0, abs=1e-15)
         for law in (p, q):
-            assert list(law.items()) == list(law.entries.items())
-            assert len(law) == len(law.entries)
             for i in range(3):
                 ref = {}
-                for (b, _), prob in law.entries.items():
+                for (b, _), prob in law.items():
                     ref[b[i]] = ref.get(b[i], 0.0) + prob
                 assert marginal(law, f"b{i}").entries == ref
 

@@ -991,6 +991,30 @@ def test_input_for_an_unknown_node_rejected():
             classical_only=True)
 
 
+@pytest.mark.parametrize("raw", [[7], "\x01", bytearray(b"\x01"), 1],
+                         ids=["list", "str", "bytearray", "int"])
+@pytest.mark.parametrize("runner", ["run", "run_sampled", "run_exact"])
+def test_an_input_that_is_not_bytes_rejected(runner, raw):
+    # refused before any init: the derandomizer would read [7] as the byte 7
+    cycle = Topology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    inputs = {0: raw, 1: b"\x01", 2: None}
+    built = []
+
+    def make():
+        programs = derandomize_function_protocol(cycle, xor_oracle, 2)
+        built.extend(programs.values())
+        return programs
+
+    calls = {
+        "run": lambda: run(cycle, make(), 2, inputs=inputs, classical_only=True),
+        "run_sampled": lambda: run_sampled(cycle, make(), 2, shots=3, inputs=inputs),
+        "run_exact": lambda: run_exact(cycle, make, 2, inputs=inputs),
+    }
+    with pytest.raises(ValueError, match=f"^node 0 got a {type(raw).__name__} input"):
+        calls[runner]()
+    assert built and not any(hasattr(p, "ctx") for p in built)
+
+
 @pytest.mark.parametrize("degree,role", [(1, "input-node"), (2, "side"),
                                          (3, "corner")])
 def test_role_of(degree, role):

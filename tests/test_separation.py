@@ -48,7 +48,7 @@ def adversary_gamma_law(d: int, strategy: AffineStrategy, biases) -> GammaLaw:
 
 def test_gamma_normalization_and_marginals():
     g = exact_gamma(2)
-    assert abs(sum(g.entries.values()) - 1.0) < 1e-12
+    assert abs(sum(dict(g.items()).values()) - 1.0) < 1e-12
     for i in range(3):
         assert marginal(g, f"b{i}").probability(1) == pytest.approx(0.5, abs=1e-12)
 
@@ -59,16 +59,17 @@ def test_gamma_support_is_the_validity_relation():
         if p > 1e-9:
             assert x in enumerate_support(2, b)
     # and conversely, every valid pair carries mass
+    law = dict(g.items())
     for b in [(0, 0, 0), (1, 1, 0)]:
         for x in enumerate_support(2, b):
-            assert g.probability((b, x)) > 0
+            assert law.get((b, x), 0.0) > 0
 
 
 @pytest.mark.parametrize("d,entries", [(2, 192), (4, 12_288)])
 def test_gamma_has_no_rounding_noise_entries(d, entries):
     # exactly the support: 2^(3d-1) strings for each odd-weight triple and
     # 2^(3d-2) for each even-weight one
-    assert len(exact_gamma(d)) == entries
+    assert len(exact_gamma(d).keys) == entries
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -78,10 +79,10 @@ def test_gamma_equals_the_dense_process_law(d):
         law = exact_distribution(run_gates(3 * d, process_gates(d, b)))
         for x, p in law.items():
             dense[(b, x)] = p / 8
-    gamma = exact_gamma(d)
-    assert set(gamma.entries) == set(dense)
+    gamma = dict(exact_gamma(d).items())
+    assert set(gamma) == set(dense)
     for key, p in dense.items():
-        assert gamma.probability(key) == pytest.approx(p, abs=1e-12)
+        assert gamma.get(key, 0.0) == pytest.approx(p, abs=1e-12)
 
 
 def test_cross_oracle_identity_at_d2():
@@ -119,7 +120,7 @@ def test_empirical_sampling_converges():
 def test_adversary_law_is_a_distribution():
     strategy = AffineStrategy((0, 0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
     law = adversary_gamma_law(2, strategy, (0.5, 0.25, 1.0))
-    assert abs(sum(law.entries.values()) - 1.0) < 1e-12
+    assert abs(sum(dict(law.items()).values()) - 1.0) < 1e-12
     assert marginal(law, "b2").probability(1) == pytest.approx(1.0)
 
 
@@ -222,7 +223,6 @@ def test_min_tv_equals_the_search_without_a_memo(d, T):
     tv, witness = min_tv_affine_adversary(d, T)
     ref_tv, ref_strategy, ref_biases = _reference_min_tv(d, T)
     assert tv == ref_tv
-    assert witness.tv == ref_tv
     assert witness.strategy == ref_strategy
     assert witness.biases == ref_biases
 
@@ -304,7 +304,7 @@ def test_a_corner_that_skips_s_is_a_quarter_away_on_both_paths(d, monkeypatch):
 
     monkeypatch.setattr(separation, "sampling_protocol_programs", programs)
     target, law = exact_gamma(d), sampling_exact_law(d)
-    as_dicts = [OutcomeDistribution(g.entries, g.space) for g in (target, law)]
+    as_dicts = [OutcomeDistribution(dict(g.items()), g.space) for g in (target, law)]
     assert tv_distance(target, law) == pytest.approx(0.25, abs=1e-12)
     assert tv_distance(*as_dicts) == pytest.approx(0.25, abs=1e-12)
 
@@ -320,7 +320,7 @@ def test_sampling_law_equals_the_reshaped_record_law(d):
         assert len(row) == len(record) == 3 * d + 3
         key = (tuple(row[3 * d:]), tuple(row[:3 * d]))
         old[key] = old.get(key, 0.0) + p
-    assert sampling_exact_law(d).entries == old
+    assert dict(sampling_exact_law(d).items()) == old
 
 
 @pytest.mark.parametrize("d,T", [(4, 1), (8, 2), (12, 3)])

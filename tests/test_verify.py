@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from qlocal import verify
-from qlocal.protocols import AffineStrategy, all_affine_strategies
+from qlocal.network import run_sampled
+from qlocal.protocols import (
+    AffineStrategy,
+    all_affine_strategies,
+    relation_inputs,
+    relation_protocol_programs,
+)
+from qlocal.topology import build_script_gd
 from qlocal.verify import (
+    ValidityReport,
     best_affine_success,
     check_prop1,
     enumerate_support,
@@ -158,6 +166,18 @@ def test_is_valid_reports():
     bad = single_one(2, 1)  # violates the universal side identity
     report = is_valid(2, (0, 0, 0), bad)
     assert not report.in_support and not report.parity_ok
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_quantum_samples_pass_the_parity_identities(d):
+    # the relation protocol's own outcomes, not support strings or classical
+    # strategy outputs, through both checks of is_valid
+    for b in TRIPLES:
+        records = run_sampled(build_script_gd(d), relation_protocol_programs(d), rounds=2,
+                              shots=100, seed=11, inputs=relation_inputs(d, b))
+        for out in records:
+            outcome = tuple(out[i][0] for i in range(3 * d))
+            assert is_valid(d, b, outcome) == ValidityReport(True, True), (b, outcome)
 
 
 def test_lemma2_scan():
