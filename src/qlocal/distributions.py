@@ -35,9 +35,6 @@ class OutcomeDistribution:
     def items(self):
         return self.entries.items()
 
-    def __len__(self):
-        return len(self.entries)
-
 
 class GammaLaw:
     """A law on ("gamma", d), outcomes (b, x) with b the three input bits and
@@ -57,10 +54,14 @@ class GammaLaw:
         self.d, self.space, self.keys, self.probs = d, ("gamma", d), keys, probs
 
     def items(self):
-        """The ((b, x), probability) pairs, by ascending key."""
+        """The ((b, x), probability) pairs, by ascending key. Each distinct
+        x and b is decoded once, and the pairs share that one tuple."""
         n = 3 * self.d
-        bits = (self.keys[:, None] >> np.arange(n + 3)) & 1
-        keys = zip(map(tuple, bits[:, n:].tolist()), map(tuple, bits[:, :n].tolist()))
+        rings, ring_at = np.unique(self.keys & (1 << n) - 1, return_inverse=True)
+        xs = list(map(tuple, ((rings[:, None] >> np.arange(n)) & 1).tolist()))
+        bs = [tuple(b >> i & 1 for i in range(3)) for b in range(8)]
+        keys = zip(map(bs.__getitem__, (self.keys >> n).tolist()),
+                   map(xs.__getitem__, ring_at.tolist()))
         return zip(keys, self.probs.tolist())
 
 
@@ -71,12 +72,12 @@ def tv_distance(p: OutcomeDistribution | GammaLaw, q: OutcomeDistribution | Gamm
     if type(p) is not type(q):
         raise ValueError(f"laws of two types: {type(p).__name__} and {type(q).__name__}")
     if isinstance(p, GammaLaw):
-        # each law's keys land at their places in the sorted union
-        keys = np.union1d(p.keys, q.keys)
-        gap = np.zeros(len(keys))
-        gap[np.searchsorted(keys, p.keys)] = p.probs
-        gap[np.searchsorted(keys, q.keys)] -= q.probs
-        return 0.5 * float(np.abs(gap).sum())
+        # both key arrays ascend: each q key's place in p's, and whether it is there
+        at = np.minimum(np.searchsorted(p.keys, q.keys), len(p.keys) - 1)
+        hit = p.keys[at] == q.keys
+        gap = p.probs.copy()
+        gap[at[hit]] -= q.probs[hit]
+        return 0.5 * float(np.abs(gap).sum() + q.probs[~hit].sum())
     # one pass over p and one over q's other keys: each key is hashed twice
     p_entries, q_entries = p.entries, q.entries
     total = sum(abs(pk - q_entries.get(k, 0.0)) for k, pk in p_entries.items())

@@ -374,10 +374,14 @@ def _columns(programs, contexts, order, bits) -> list:
             [1 << j for j in range(len(flags))],
             dtype=np.int64 if len(flags) < 63 else object,
         )
-        values, inverse = np.unique(
-            bits[:, shift:shift + len(flags)] @ weights, return_inverse=True
-        )
+        packed = bits[:, shift:shift + len(flags)] @ weights
         shift += len(flags)
+        if len(flags) <= 16:  # np.unique's table and index, from a presence table
+            seen = np.zeros(1 << len(flags), dtype=bool)
+            seen[packed] = True
+            values, inverse = np.flatnonzero(seen), (np.cumsum(seen) - 1)[packed]
+        else:
+            values, inverse = np.unique(packed, return_inverse=True)
         columns.append(([
             _finalize(
                 programs[u], u,

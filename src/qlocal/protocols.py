@@ -321,12 +321,15 @@ class _FloodingProgram(NodeProgram):
     """Classical full-information flooding for T rounds; subclasses decide
     what seeds the flood and what to output.
 
-    Change-only: a node sends `known` to every neighbor in a round call
-    t < T only if `known` changed since its last send (a seeded node sends
-    in round 0), and returns None otherwise. Every node's `known` after
-    every round call is the same as if all nodes re-sent it each round,
-    since a pair a node already held reached its neighbors the round it
-    first arrived.
+    Change-only: a node sends `known` in a round call t < T only if
+    `known` changed since its last send (a seeded node sends in round 0),
+    and returns None otherwise. It skips each neighbor whose payload in
+    this call already holds all of `known` and all of the node's last
+    send, so no bit of it changed: that neighbor has nothing to learn.
+    Every node's `known` after every round call is the same as if all
+    nodes re-sent it to every neighbor each round, since a pair a node
+    already held reached its neighbors the round it first arrived, and a
+    skipped neighbor already holds all it would get.
     """
 
     def __init__(self, rounds: int):
@@ -339,8 +342,10 @@ class _FloodingProgram(NodeProgram):
         self.ctx = ctx
         self.known = self._seed_known(ctx)
         self._fresh = bool(self.known)  # changed since the last send
+        self._told = b""  # the payload of its last send
 
     def round(self, t, inbox):
+        heard = ()  # (neighbor, its pairs) per payload of this call
         for v, msg in inbox.items():
             if msg.payload:
                 try:
@@ -350,13 +355,21 @@ class _FloodingProgram(NodeProgram):
                         f"node {self.ctx.self_id!r} got a flood payload from "
                         f"{v!r} in round {t} that is not (node, value) pairs"
                     ) from err
+                heard += ((v, pairs),)
                 if not self.known.items() >= pairs:
                     self.known.update(pairs)
                     self._fresh = True
         if self._fresh and t < self.rounds:
             self._fresh = False
-            msg = _encode_known(tuple(sorted(self.known.items())))
-            return dict.fromkeys(self.ctx.neighbors, msg)
+            known, told = self.known.items(), self._told
+            msg = _encode_known(tuple(sorted(known)))
+            out = dict.fromkeys(self.ctx.neighbors, msg)
+            for v, pairs in heard:
+                if pairs >= known and (not told or pairs >= _decode_known(told)):
+                    del out[v]
+            if out:
+                self._told = msg.payload
+            return out
         return None
 
 

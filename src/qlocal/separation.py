@@ -49,10 +49,10 @@ def exact_gamma(d: int) -> GammaLaw:
 
 
 def sampling_exact_law(d: int) -> GammaLaw:
-    """Exact output law of the distributed 2-round sampling protocol: the
-    node output columns of each randomness branch give one row of output
-    bits per outcome, packed as `exact_gamma`'s keys are, and equal keys
-    add up in branch and row order.
+    """Exact output law of the distributed 2-round sampling protocol: each
+    randomness branch ORs node j's output bit over its outcomes into key
+    bit j, packed as `exact_gamma`'s keys are, and equal keys add up in
+    branch and outcome order.
 
     This is the independent oracle for the cross-check: the engine
     enumerates the three randomness bits and the terminal measurement,
@@ -62,13 +62,13 @@ def sampling_exact_law(d: int) -> GammaLaw:
     topology, programs = build_script_gd(d), lambda: sampling_protocol_programs(d)
     for weight, p, columns in _exact_branches(topology, programs, 2, None):
         # node order is 0..3d-1 then the three input nodes, one bit each
-        rows = np.empty((len(p), len(columns)), dtype=np.uint8)
+        key = np.zeros(len(p), dtype=np.int64)
         for j, (table, index) in enumerate(columns):
             if any(out not in (b"\x00", b"\x01") for out in table):
                 raise ValueError(f"sampling outputs must be one byte each, 0 or 1, got {table!r}")
-            outs = np.frombuffer(b"".join(table), dtype=np.uint8)
-            rows[:, j] = outs[0] if index is None else outs[index]
-        keys.append(rows @ (1 << np.arange(len(columns))))
+            outs = np.frombuffer(b"".join(table), dtype=np.uint8).astype(np.int64) << j
+            key |= outs[0] if index is None else outs[index]
+        keys.append(key)
         probs.append(weight * p)
     keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     return GammaLaw(d, keys, np.bincount(inverse, weights=np.concatenate(probs)))
@@ -157,12 +157,16 @@ def min_tv_affine_adversary(d: int, T: int):
     masses = [2.0**-enumerate_support(d, b).dim / 8 for b in _B_TRIPLES]
     tvs = np.empty(len(strategies))
     best_g = {}  # hit pattern -> grid index of its minimum
-    gap = np.empty_like(q)  # reused: a fresh q-sized temporary per pattern doubles the scan
+    # column b of the gap is |q_b - m_b| on a hit and |q_b - 0.0| = q_b off one
+    q_cols = np.ascontiguousarray(q.T)
+    hit_cols = np.abs(q_cols - np.array(masses)[:, None])
     for pattern in np.unique(patterns).tolist():
         gamma_hits = np.array([m if pattern >> j & 1 else 0.0 for j, m in enumerate(masses)])
-        np.abs(np.subtract(q, gamma_hits[None, :], out=gap), out=gap)
-        # per bias triple: tv = 1/2 [ sum_b |q_b - gamma_b| + (1 - sum_b gamma_b) ]
-        scan = 0.5 * (gap.sum(axis=1) + 1.0 - gamma_hits.sum())
+        c = [hit_cols[j] if pattern >> j & 1 else q_cols[j] for j in range(8)]
+        # per bias triple: tv = 1/2 [ sum_b |q_b - gamma_b| + (1 - sum_b gamma_b) ],
+        # the sum in the pairwise order np.sum takes over a row of 8
+        gap = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+        scan = 0.5 * (gap + 1.0 - gamma_hits.sum())
         g = best_g[pattern] = int(np.argmin(scan))
         tvs[patterns == pattern] = scan[g]
     s = int(np.argmin(tvs))

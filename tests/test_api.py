@@ -9,8 +9,8 @@ The check matches by name alone, so it has a blind spot: a method passes
 when any other object's attribute of the same name is read, and dunders
 (`__len__`, `__iter__`, ...) are not checked at all. A
 `GammaLaw.probability` that only tests call would pass, for one, because
-`OutcomeDistribution.probability` is read. Classes whose surface matters
-get a pin of their own methods below.
+`OutcomeDistribution.probability` is read. The two law classes, whose
+surface matters, get a pin of their own methods, dunders included, below.
 """
 import ast
 from importlib import import_module
@@ -59,13 +59,24 @@ def test_every_name_has_a_caller_outside_the_tests():
     assert _defined_names() - _used_names() == set(TEST_ONLY)
 
 
+def _law_methods(name):
+    """The methods, dunders included, that `distributions.py`'s class
+    `name` defines in its own body."""
+    tree = ast.parse((PACKAGE / "distributions.py").read_text())
+    (law,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+    return {f.name for f in law.body if isinstance(f, ast.FunctionDef)}
+
+
 def test_a_gamma_law_is_its_arrays():
     # no dict face: `items()` is its only reader, and no method rebuilds Γ
     # as a mapping keyed by (b, x) tuples
-    tree = ast.parse((PACKAGE / "distributions.py").read_text())
-    (gamma,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GammaLaw"]
-    methods = {f.name for f in gamma.body if isinstance(f, ast.FunctionDef)}
-    assert methods == {"__init__", "items"}
+    assert _law_methods("GammaLaw") == {"__init__", "items"}
+
+
+def test_an_outcome_distribution_defines_only_what_is_read():
+    # the caller check skips dunders: this pin is what keeps an unread
+    # `__len__` or `__iter__` out of the dict law
+    assert _law_methods("OutcomeDistribution") == {"__post_init__", "probability", "items"}
 
 
 def _imports(module):

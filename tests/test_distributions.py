@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qlocal.distributions import GammaLaw, OutcomeDistribution, marginal, tv_distance
 
-from packing import gamma_law
+from packing import gamma_key, gamma_law
 
 SPACE = ("bits", 2)
 
@@ -177,6 +177,30 @@ def test_packed_laws_equal_their_dict_laws():
                 for (b, _), prob in law.items():
                     ref[b[i]] = ref.get(b[i], 0.0) + prob
                 assert marginal(law, f"b{i}").entries == ref
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_gamma_items_are_the_entries_by_key(d):
+    # a pool of ring strings, most missing, each drawn under several
+    # triples, and some triples left out
+    rng = np.random.default_rng(d)
+    n = 3 * d
+    triples = [tuple(int(c) for c in np.binary_repr(v, 3)) for v in range(8)]
+    for _ in range(10):
+        pool = rng.choice(1 << n, size=12, replace=False).tolist()
+        entries = {}
+        for b in triples:
+            for x in rng.choice(pool, size=int(rng.integers(0, 6)), replace=False).tolist():
+                entries[b, tuple(x >> i & 1 for i in range(n))] = float(rng.random())
+        if not entries:
+            continue
+        total = sum(entries.values())
+        entries = {k: p / total for k, p in entries.items()}
+        items = list(gamma_law(d, entries).items())
+        assert items == sorted(entries.items(), key=lambda kv: gamma_key(d, *kv[0]))
+        for part in (0, 1):  # equal b, and equal x, are one tuple object
+            values = [key[part] for key, _ in items]
+            assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_data_processing_inequality_spot_check():

@@ -706,7 +706,7 @@ def test_finalize_runs_once_per_value_of_the_node_bits():
         return {u: CountingCoins(w, branch, calls) for u, w in widths.items()}
 
     law = run_exact(topo, make_programs, rounds=0)
-    assert len(law) == 8  # 2^3 terminal keys per branch, 8 branches
+    assert len(law.entries) == 8  # 2^3 terminal keys per branch, 8 branches
     assert len(calls) == len(set(calls))
     per_node = {}
     for branch, node, _ in calls:
@@ -827,8 +827,9 @@ class CountingOutbox(NodeProgram):
 
 def test_a_k_copies_execution_sends_only_new_knowledge():
     # per copy: 3 input nodes send their bit to their corner in round 0,
-    # and the 3 corners send what they learned to their 3 neighbors in
-    # round 1; every other node never learns anything new
+    # and the 3 corners send what they learned to their 2 ring neighbors
+    # in round 1, not back to the input node that told them all of it;
+    # every other node never learns anything new
     d, k = 4, 3
     _, witness = best_affine_success()
     sent = []
@@ -845,7 +846,7 @@ def test_a_k_copies_execution_sends_only_new_knowledge():
     result = run(k_copies_topology(d, k), programs, rounds=2, inputs=inputs,
                  classical_only=True)
     assert len(sent) == 18
-    assert sum(map(len, sent)) == 36
+    assert sum(map(len, sent)) == 27
     assert all(msg.payload for out in sent for msg in out)
     assert result.message_rounds == 2
 
@@ -866,7 +867,7 @@ class CoinFlip(NodeProgram):
 
 def test_run_exact_enumerates_randomness():
     dist = run_exact(PATH2, lambda: {0: CoinFlip(), 1: CoinFlip()}, rounds=0)
-    assert len(dist) == 4
+    assert len(dist.entries) == 4
     for p in dist.entries.values():
         assert abs(p - 0.25) < 1e-12
 
@@ -975,6 +976,74 @@ def test_sampled_records_are_unchanged_by_narrow_index_columns(monkeypatch):
     assert digest.hexdigest() == (
         "7a61e9ba711e0a402178643f0438646f19c0eec00d2e7c658cd717e5beb76c84"
     )
+
+
+class WideFlags(NodeProgram):
+    """Flags `width` fresh qubits, last made first: H on each even one,
+    then a CNOT from it into the next, so each pair reads alike."""
+
+    def __init__(self, width):
+        self.width = width
+
+    def round(self, t, inbox):
+        qids = [self.ctx.new_qubit() for _ in range(self.width)]
+        for j in range(0, self.width, 2):
+            self.ctx.apply("H", qids[j])
+            if j + 1 < self.width:
+                self.ctx.apply("CNOT", qids[j], qids[j + 1])
+        self.flags = qids[::-1]
+        for q in self.flags:
+            self.ctx.measure(q)
+        return {}
+
+    def finalize(self, measured):
+        return bytes(measured[q] for q in self.flags)
+
+
+@pytest.mark.parametrize("width", [20, 70])  # np.unique on int64, then on Python ints
+def test_wide_flag_columns_give_the_per_shot_records(width):
+    topo, shots, seed = PATH2, 200, 4
+    widths = {0: width, 1: 1}
+    records = run_sampled(topo, {u: WideFlags(w) for u, w in widths.items()},
+                          rounds=0, shots=shots, seed=seed)
+    # the reference: the same draws, each shot finalized on its own bits
+    programs = {u: WideFlags(w) for u, w in widths.items()}
+    contexts, arena, _ = network._execute_rounds(
+        topo, programs, 0, None, False, lambda u, nbits: ()
+    )
+    qids = network._flagged_qubits(contexts, topo.nodes, arena)
+    bits = arena.sample_over(qids, shots, np.random.default_rng(seed))
+    flags = [contexts[u]._measure_flags for u in topo.nodes]
+    expected = []
+    for row in bits.tolist():
+        measured = dict(zip(qids, row))
+        expected.append(tuple(
+            programs[u].finalize({q: measured[q] for q in f})
+            for u, f in zip(topo.nodes, flags)
+        ))
+    assert records == expected
+    assert len(set(records)) > shots // 2  # a wide table: most shots differ
+
+
+class ValueBytes(NodeProgram):
+    def finalize(self, measured):
+        return bytes(measured.values())
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_a_presence_table_column_is_np_unique_s(width):
+    # a node that sees some of its 2^width values, not all and not 0
+    rng = np.random.default_rng(width)
+    some = rng.choice(np.arange(1, 1 << width), size=(1 << width) - 2, replace=False)
+    values = rng.permutation(np.concatenate([some, rng.choice(some, size=40)]))
+    bits = (values[:, None] >> np.arange(width)) & 1
+    contexts = {"u": NodeContext(LocalView("u", frozenset(), 1), None, (), None, True)}
+    contexts["u"]._measure_flags = list(range(5, 5 + width))
+    ((table, index),) = network._columns({"u": ValueBytes()}, contexts, ["u"], bits)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    assert table == [bytes(int(v) >> j & 1 for j in range(width)) for v in distinct]
+    assert index.dtype == np.uint8
+    assert index.tolist() == inverse.tolist()
 
 
 def test_missing_program_rejected():

@@ -575,11 +575,12 @@ def test_change_only_flooding_matches_full_flooding(ids):
 
 def test_flooding_past_the_diameter_sends_only_while_knowledge_moves():
     # on the path 0-1-2 the ends learn the far end's bit in round call 2
-    # and pass it back to node 1, which has nothing new; calls 3 and 4
-    # send nothing, where full flooding would send in all five calls 0-4
+    # from node 1, whose payload already holds all they know, so they send
+    # nothing back; calls 2-4 send nothing, where full flooding would send
+    # in all five calls 0-4
     path = Topology(range(3), [(0, 1), (1, 2)])
     programs = derandomize_function_protocol(path, xor_oracle, rounds=5)
     inputs = {0: b"\x01", 1: b"\x00", 2: b"\x01"}
     result = run(path, programs, rounds=5, inputs=inputs, classical_only=True)
-    assert result.message_rounds == 3
+    assert result.message_rounds == 2
     assert set(result.outputs.values()) == {b"\x00"}

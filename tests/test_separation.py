@@ -227,6 +227,33 @@ def test_min_tv_equals_the_search_without_a_memo(d, T):
     assert witness.biases == ref_biases
 
 
+def _row_sum_min_tv(d):
+    """The memoized search with each pattern's bias scan as row sums,
+    np.abs(q - gamma_hits).sum(axis=1) over the 23^3 x 8 table."""
+    strategies, _ = separation._strategy_table()
+    grid, q = separation._bias_table()
+    patterns = separation._hit_patterns(d)
+    masses = [2.0**-enumerate_support(d, b).dim / 8 for b in TRIPLES]
+    tvs, best_g = np.empty(len(strategies)), {}
+    for pattern in np.unique(patterns).tolist():
+        gamma_hits = np.array([m if pattern >> j & 1 else 0.0 for j, m in enumerate(masses)])
+        scan = 0.5 * (np.abs(q - gamma_hits[None, :]).sum(axis=1) + 1.0 - gamma_hits.sum())
+        best_g[pattern] = int(np.argmin(scan))
+        tvs[patterns == pattern] = scan[best_g[pattern]]
+    s = int(np.argmin(tvs))
+    g = best_g[int(patterns[s])]
+    biases = tuple(float(grid[i]) for i in np.unravel_index(g, (len(grid),) * 3))
+    return float(tvs[s]), strategies[s], biases
+
+
+@pytest.mark.parametrize("d,T", [
+    (d, T) for d in (4, 6, 8, 64, 1024) for T in sorted({1, d // 4})
+])
+def test_the_column_scan_is_the_row_sum_to_the_bit(d, T):
+    tv, witness = min_tv_affine_adversary(d, T)
+    assert (tv, witness.strategy, witness.biases) == _row_sum_min_tv(d)
+
+
 def test_outer_product_bias_table_equals_the_meshgrid_form():
     grid, q = separation._bias_table()
     combos, ref_q = _meshgrid_bias_table()
