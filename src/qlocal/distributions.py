@@ -50,6 +50,8 @@ class GammaLaw:
         if not (keys[1:] > keys[:-1]).all():
             raise ValueError("keys must be strictly ascending")
         _check_probabilities(probs)
+        if not (keys[0] >= 0 and int(keys[-1]) >> 3 * d + 3 == 0):
+            raise ValueError(f"keys must lie in [0, 2^{3 * d + 3})")
         keys.flags.writeable = probs.flags.writeable = False
         self.d, self.space, self.keys, self.probs = d, ("gamma", d), keys, probs
 

@@ -11,8 +11,9 @@ from itertools import product
 
 import numpy as np
 
-from . import separation, verify
+from . import affine, separation, verify
 from .distributions import marginal, tv_distance
+from .errors import ResourceLimitError
 from .network import run, run_sampled
 from .protocols import (
     GraphStateProgram,
@@ -22,7 +23,7 @@ from .protocols import (
     relation_inputs,
     relation_protocol_programs,
 )
-from .topology import Topology, build_script_gd, input_nodes
+from .topology import Topology, build_script_gd, check_count, input_nodes
 
 
 def relation_validity(d, shots, seed):
@@ -182,14 +183,17 @@ def run_k_copies_protocol(topology, d: int, k: int, strategy, inputs_per_copy) -
 
 
 def k_copies(d, k):
+    # one execution per input case: 3k input bits, held to the enumeration cap
+    check_count("k", k, 1)
+    if 3 * k > affine.MAX_ENUMERATED_BITS:
+        cap = affine.MAX_ENUMERATED_BITS
+        raise ResourceLimitError(f"8^{k} input cases exceed the enumeration cap of 2^{cap}")
     _, witness = verify.best_affine_success()
     predicted = k_copies_success(d, k, witness)
     topology = k_copies_topology(d, k)
-    hits = 0
-    cases = list(product(list(product((0, 1), repeat=3)), repeat=k))
-    for inputs_per_copy in cases:
-        hits += run_k_copies_protocol(topology, d, k, witness, inputs_per_copy)
-    measured = Fraction(hits, len(cases))
+    cases = product(product((0, 1), repeat=3), repeat=k)
+    hits = sum(run_k_copies_protocol(topology, d, k, witness, c) for c in cases)
+    measured = Fraction(hits, 8**k)
     return {
         "d": d,
         "k": k,

@@ -427,6 +427,7 @@ def run(
     classical_only=False,
 ) -> ExecutionResult:
     """One full execution: T rounds, one terminal measurement, finalize."""
+    check_count("seed", seed, 0)
     order = list(topology.nodes)
     contexts, arena, message_rounds = _execute_rounds(
         topology, programs, rounds, inputs, classical_only,
@@ -452,6 +453,7 @@ def run_sampled(
     execution with fixed randomness; program finalize must be pure.
     """
     check_count("shots", shots, 1)
+    check_count("seed", seed, 0)
     order = list(topology.nodes)
     contexts, arena, _ = _execute_rounds(
         topology, programs, rounds, inputs, False, partial(node_randomness, seed)

@@ -6,11 +6,12 @@ support S_b that `verify.enumerate_support` gives. Both it and the
 distributed protocol's law are `GammaLaw`s, arrays of packed (b, x) keys.
 A classical adversary from the lower bound's family draws the bit triple
 from a product distribution and emits a deterministic affine outcome
-string per triple; the search returns the family's minimum total
-variation distance to the target.
+string per triple; its minimum total variation distance to the target is
+1 minus the largest mass Γ gives the strings a strategy outputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -90,20 +91,6 @@ def _strategy_table():
     return strategies, coeffs
 
 
-@cache
-def _bias_table():
-    """The 1/22-step bias grid and q, where q[g, j] is the probability that
-    the g-th bias triple (grid indices in C order) gives triple j."""
-    grid = np.arange(23) / 22.0  # steps of 1/22: 5/11 and 6/11 are on it
-    sides = (1.0 - grid, grid)
-    q = np.stack([
-        np.multiply.outer(np.multiply.outer(sides[b0], sides[b1]), sides[b2]).ravel()
-        for b0, b1, b2 in _B_TRIPLES
-    ], axis=1)
-    q.flags.writeable = False
-    return grid, q
-
-
 def _hit_patterns(d: int) -> np.ndarray:
     """For each strategy of `_strategy_table`, its hit pattern: bit j is
     set when its output string on the j-th triple b is in S_b.
@@ -131,46 +118,32 @@ def min_tv_affine_adversary(d: int, T: int):
     """Minimum total variation distance between the target law and the
     lower bound's classical adversary family at round budget T.
 
-    The family: each input bit is drawn with a bias from the 1/22-step
-    grid, and the outcome string is an admissible affine strategy whose
-    terms only use bits visible within ring distance 2T-1 of their corner.
-    That never restricts it: every nonconstant slot of `_carrier_slots`
-    sits within one hop of its corner and 2T-1 >= 1, so all 512 strategies
-    take part and the result does not depend on T, which is only checked.
-    Γ's eight point probabilities per strategy come from the supports, so
-    Γ is never built and any even d with T <= d/4 runs. They depend on the
-    strategy only through its hit pattern, which triples b it outputs a
-    string of S_b on. The 512 patterns come from one GF(2) product of the
-    coefficient matrix with each S_b's parity checks (`_hit_patterns`), and
-    the bias grid runs once per distinct pattern (at most 256). The witness
-    is the first strategy, in `all_affine_strategies` order, at the minimum.
-    Returns (min tv, witness).
+    The family: the input bits are drawn with any product bias, and the
+    outcome string is an admissible affine strategy whose terms only use
+    bits visible within ring distance 2T-1 of their corner. Every
+    nonconstant slot of `_carrier_slots` sits within one hop of its corner
+    and 2T-1 >= 1, so all 512 strategies take part and T is only checked.
+
+    A strategy outputs one string per triple b, which the adversary gives
+    probability q_b and Γ gives γ_b: m_b = 2^-dim(S_b)/8 on a hit (the
+    string is in S_b, by `_hit_patterns`) and 0 off one. Its distance
+    1/2 [1 - Σ γ_b + Σ |q_b - γ_b|] is >= 1 - Σ γ_b, with equality when
+    every q_b >= γ_b, as at uniform biases, where q_b = 1/8 > m_b. So the
+    minimum is 1 minus the largest hit mass, at biases (1/2, 1/2, 1/2), and
+    Γ is never built. Masses are compared as integers in units of
+    2^-(max dim + 3), so the witness, the first strategy in
+    `all_affine_strategies` order with the largest mass, is a true
+    maximizer where float masses round away. Returns (min tv, witness).
     """
     check_even_d(d)
     check_count("round budget", T, 1)
     if T > d // 4:
         raise ValueError(f"T={T} exceeds d/4={d // 4}")
     strategies, _ = _strategy_table()
-    grid, q = _bias_table()
-    patterns = _hit_patterns(d)
-    # Γ puts 2^-dim/8 on each string of S_b, so each branch has mass 1/8
-    masses = [2.0**-enumerate_support(d, b).dim / 8 for b in _B_TRIPLES]
-    tvs = np.empty(len(strategies))
-    best_g = {}  # hit pattern -> grid index of its minimum
-    # column b of the gap is |q_b - m_b| on a hit and |q_b - 0.0| = q_b off one
-    q_cols = np.ascontiguousarray(q.T)
-    hit_cols = np.abs(q_cols - np.array(masses)[:, None])
-    for pattern in np.unique(patterns).tolist():
-        gamma_hits = np.array([m if pattern >> j & 1 else 0.0 for j, m in enumerate(masses)])
-        c = [hit_cols[j] if pattern >> j & 1 else q_cols[j] for j in range(8)]
-        # per bias triple: tv = 1/2 [ sum_b |q_b - gamma_b| + (1 - sum_b gamma_b) ],
-        # the sum in the pairwise order np.sum takes over a row of 8
-        gap = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
-        scan = 0.5 * (gap + 1.0 - gamma_hits.sum())
-        g = best_g[pattern] = int(np.argmin(scan))
-        tvs[patterns == pattern] = scan[g]
-    s = int(np.argmin(tvs))
-    tv = float(tvs[s])
-    g = best_g[int(patterns[s])]
-    biases = tuple(float(grid[i]) for i in np.unravel_index(g, (len(grid),) * 3))
-    return tv, AdversaryWitness(strategies[s], biases)
+    dims = [enumerate_support(d, b).dim for b in _B_TRIPLES]
+    top = max(dims)
+    hits = (_hit_patterns(d)[:, None] >> np.arange(8)) & 1
+    scores = hits @ np.array([1 << top - dim for dim in dims])
+    s = int(np.argmax(scores))
+    tv = 1.0 - math.ldexp(int(scores[s]), -(top + 3))
+    return tv, AdversaryWitness(strategies[s], (0.5, 0.5, 0.5))

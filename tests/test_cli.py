@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qlocal import affine, network
+from qlocal import affine, experiments, network
+from qlocal.errors import ResourceLimitError
 from qlocal.cli import build_parser, format_records, format_table, main
 
 
@@ -44,6 +45,31 @@ def test_k_copies_sweep(capsys):
                  "--format", "records"]) == 0
     rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert [r["measured"] for r in rows] == ["7/8", "49/64"]
+
+
+def test_k_copies_holds_its_input_bits_to_the_enumeration_cap(monkeypatch, capsys):
+    # 3k input bits: at a cap of 6, k=2 runs its 64 cases and k=3 runs none
+    monkeypatch.setattr(affine, "MAX_ENUMERATED_BITS", 6)
+    assert experiments.k_copies(4, 2)["measured"] == "49/64"
+    calls = []
+    monkeypatch.setattr(experiments, "run_k_copies_protocol", lambda *a: calls.append(a))
+    with pytest.raises(ResourceLimitError, match=r"8\^3 input cases"):
+        experiments.k_copies(4, 3)
+    monkeypatch.undo()
+    with pytest.raises(ResourceLimitError, match=r"8\^8 input cases exceed .* of 2\^23"):
+        experiments.k_copies(4, 8)
+    with pytest.raises(SystemExit) as exc:
+        main(["--experiment", "k-copies", "--d", "4", "--k", "8"])
+    assert exc.value.code == 2
+    assert "8^8 input cases exceed the enumeration cap of 2^23" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_a_range_entry_that_is_no_integer_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--experiment", "gamma-exact", "--d", "2,x"])
+    assert exc.value.code == 2
+    assert "invalid literal for int() with base 10: 'x'" in capsys.readouterr().err
 
 
 def test_empty_range_is_usage_error(capsys):

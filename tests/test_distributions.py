@@ -142,6 +142,11 @@ def test_gamma_law_checks_its_arrays():
                             ([1.0, 2.0, 3.0], "int64"), ([[1, 2, 3]], "int64")):
         with pytest.raises(ValueError, match=match):
             GammaLaw(2, np.array(bad_keys), [0.25, 0.25, 0.5])
+    # a d=2 key holds 3d + 3 = 9 bits: -1 would decode as b = (1, 1, 1)
+    for bad_keys in ([-1, 3], [3, 1 << 9]):
+        with pytest.raises(ValueError, match=r"lie in \[0, 2\^9\)"):
+            GammaLaw(2, np.array(bad_keys, dtype=np.int64), [0.5, 0.5])
+    assert GammaLaw(2, np.array([0, (1 << 9) - 1]), [0.5, 0.5]).keys.tolist() == [0, 511]
     law = GammaLaw(2, keys, [0.25, 0.25, 0.5])
     for array in (law.keys, law.probs):
         with pytest.raises(ValueError, match="read-only"):

@@ -17,6 +17,7 @@ from qlocal.errors import (
     LocalityError,
     ModelViolationError,
     ProtocolError,
+    ResourceLimitError,
 )
 from qlocal.experiments import xor_oracle
 from qlocal.network import (
@@ -858,6 +859,20 @@ def test_node_randomness_is_stable_and_seed_dependent():
     assert node_randomness(7, "u", 0) == ()
 
 
+class Flags63(NodeProgram):
+    """Flags 63 fresh qubits, past the 62 bits of a law key."""
+
+    def init(self, ctx):
+        super().init(ctx)
+        for _ in range(63):
+            ctx.measure(ctx.new_qubit())
+
+
+def test_a_law_past_62_key_bits_is_refused():
+    with pytest.raises(ResourceLimitError, match="too many qubits"):
+        run_exact(Topology([0], []), lambda: {0: Flags63()}, rounds=0)
+
+
 class CoinFlip(NodeProgram):
     randomness_bits = 1
 
@@ -905,6 +920,51 @@ def test_bad_rounds_and_randomness_widths_raise_value_error(runner, rounds, widt
 
     with pytest.raises(ValueError, match=match):
         RUNNERS[runner](Topology([0], []), make_programs, rounds)
+
+
+class Coin(NodeProgram):
+    """Outputs its eight random bits."""
+
+    randomness_bits = 8
+
+    def init(self, ctx):
+        super().init(ctx)
+        INITS.append(ctx)
+
+    def finalize(self, measured):
+        return bytes(self.ctx.randomness)
+
+
+INITS = []
+
+SEEDED_RUNNERS = {
+    "run": lambda seed: run(Topology([0], []), {0: Coin()}, 0, seed=seed).outputs[0],
+    "run_sampled": lambda seed: run_sampled(
+        Topology([0], []), {0: Coin()}, 0, shots=1, seed=seed)[0][0],
+}
+
+
+@pytest.mark.parametrize("runner", SEEDED_RUNNERS)
+@pytest.mark.parametrize("seed", [True, 1.5, -1, "1"])
+def test_a_seed_that_is_no_count_is_refused_before_any_init(runner, seed):
+    # True would hash as "True/0" and "1" as seed 1
+    INITS.clear()
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        SEEDED_RUNNERS[runner](seed)
+    assert INITS == []
+
+
+@pytest.mark.parametrize("runner", SEEDED_RUNNERS)
+def test_a_numpy_integer_seed_is_its_int(runner):
+    assert SEEDED_RUNNERS[runner](np.int64(3)) == SEEDED_RUNNERS[runner](3)
+    assert SEEDED_RUNNERS[runner](3) != SEEDED_RUNNERS[runner](4)
+
+
+def test_more_than_256_random_bits_per_node_are_refused():
+    coin = Coin()
+    coin.randomness_bits = 257
+    with pytest.raises(ResourceLimitError, match="limited to 256 bits"):
+        run(Topology([0], []), {0: coin}, 0)
 
 
 def test_run_sampled_matches_single_runs_shape():

@@ -1,4 +1,6 @@
+import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,10 +153,11 @@ def test_min_tv_beats_eleven_at_d4():
     assert tv_distance(law, exact_gamma(4)) == pytest.approx(tv, abs=1e-12)
 
 
-def test_min_tv_at_d6_is_unchanged():
+def test_min_tv_at_d6_is_one_minus_the_top_hit_mass():
+    # 4 odd-weight hits of 2^-20 and 3 even-weight hits of 2^-19
     tv, witness = min_tv_affine_adversary(6, 1)
-    assert tv == 0.9999904632568357
-    assert witness.biases == (2 / 11, 5 / 22, 5 / 11)
+    assert tv == 1 - 10 * 2.0**-20
+    assert witness.biases == (0.5, 0.5, 0.5)
     assert witness.strategy.even == (0, 0, 0, 0)
 
 
@@ -173,18 +176,21 @@ def test_the_round_budget_never_limits_the_adversary():
 TRIPLES = list(itertools.product((0, 1), repeat=3))
 
 
+def _triple_probabilities(biases):
+    """q[g, j]: the probability that the g-th bias triple gives triple j."""
+    biases = np.asarray(biases, dtype=float).reshape(-1, 1, 3)
+    ones = np.array(TRIPLES)[None] == 1
+    return np.prod(np.where(ones, biases, 1.0 - biases), axis=2)
+
+
 def _meshgrid_bias_table():
-    """The bias triples of the 1/22-step grid and q[g, j], the probability
-    the g-th triple gives the j-th input triple, as meshgrid/where/prod."""
+    """The bias triples of the 1/22-step grid, as a meshgrid, and their
+    triple probabilities."""
     grid = np.arange(23) / 22.0
     combos = np.stack(
         np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1
     ).reshape(-1, 3)
-    ones = np.array(TRIPLES, dtype=float)[None, :, :] == 1.0
-    q = np.prod(
-        np.where(ones, combos[:, None, :], 1.0 - combos[:, None, :]), axis=2
-    )
-    return combos, q
+    return combos, _triple_probabilities(combos)
 
 
 def _visible(d, radius, strategy):
@@ -196,22 +202,31 @@ def _visible(d, radius, strategy):
     )
 
 
+def _explicit_tv(q, gamma_hits):
+    """The family member's distance to Γ at triple probabilities q (one row
+    per bias triple), from its hit masses gamma_hits."""
+    return 0.5 * (np.abs(q - gamma_hits).sum(axis=-1) + 1.0 - gamma_hits.sum())
+
+
+def _gamma_hits(d, strategy):
+    """Γ's mass on the strategy's output string for each triple b:
+    2^-dim(S_b)/8 when the string is in S_b, else 0."""
+    supports = [enumerate_support(d, b) for b in TRIPLES]
+    return np.array([
+        2.0**-s.dim / 8 if affine_output_string(d, strategy, b) in s else 0.0
+        for b, s in zip(TRIPLES, supports)
+    ])
+
+
 def _reference_min_tv(d, T):
     """The search without a memo: every visible strategy scans the whole
     23^3 bias grid, and the first strategy at the minimum is the witness."""
-    supports = [enumerate_support(d, b) for b in TRIPLES]
     combos, q = _meshgrid_bias_table()
     best = None
     for strategy in all_affine_strategies():
         if not _visible(d, 2 * T - 1, strategy):
             continue
-        gamma_hits = np.array([
-            2.0**-s.dim / 8 if affine_output_string(d, strategy, b) in s else 0.0
-            for b, s in zip(TRIPLES, supports)
-        ])
-        tvs = 0.5 * (
-            np.abs(q - gamma_hits[None, :]).sum(axis=1) + 1.0 - gamma_hits.sum()
-        )
+        tvs = _explicit_tv(q, _gamma_hits(d, strategy))
         g = int(np.argmin(tvs))
         if best is None or tvs[g] < best[0]:
             best = (float(tvs[g]), strategy, tuple(float(p) for p in combos[g]))
@@ -220,47 +235,63 @@ def _reference_min_tv(d, T):
 
 @pytest.mark.parametrize("d,T", [(4, 1), (8, 2), (12, 3), (16, 4)])
 def test_min_tv_equals_the_search_without_a_memo(d, T):
+    # the grid's minimum differs from the closed form by rounding alone
     tv, witness = min_tv_affine_adversary(d, T)
-    ref_tv, ref_strategy, ref_biases = _reference_min_tv(d, T)
-    assert tv == ref_tv
+    ref_tv, ref_strategy, _ = _reference_min_tv(d, T)
+    assert abs(tv - ref_tv) <= 2.0**-52
     assert witness.strategy == ref_strategy
-    assert witness.biases == ref_biases
+    q = _triple_probabilities(witness.biases)
+    at_witness = _explicit_tv(q, _gamma_hits(d, witness.strategy))
+    assert abs(float(at_witness[0]) - tv) <= 2.0**-52
 
 
-def _row_sum_min_tv(d):
-    """The memoized search with each pattern's bias scan as row sums,
-    np.abs(q - gamma_hits).sum(axis=1) over the 23^3 x 8 table."""
-    strategies, _ = separation._strategy_table()
-    grid, q = separation._bias_table()
-    patterns = separation._hit_patterns(d)
-    masses = [2.0**-enumerate_support(d, b).dim / 8 for b in TRIPLES]
-    tvs, best_g = np.empty(len(strategies)), {}
-    for pattern in np.unique(patterns).tolist():
-        gamma_hits = np.array([m if pattern >> j & 1 else 0.0 for j, m in enumerate(masses)])
-        scan = 0.5 * (np.abs(q - gamma_hits[None, :]).sum(axis=1) + 1.0 - gamma_hits.sum())
-        best_g[pattern] = int(np.argmin(scan))
-        tvs[patterns == pattern] = scan[best_g[pattern]]
-    s = int(np.argmin(tvs))
-    g = best_g[int(patterns[s])]
-    biases = tuple(float(grid[i]) for i in np.unravel_index(g, (len(grid),) * 3))
-    return float(tvs[s]), strategies[s], biases
+@functools.cache
+def _fraction_hit_masses(d):
+    """Each strategy's hit mass Σ_b 2^-dim(S_b)/8 over the triples whose
+    output string is in S_b, exactly, in `all_affine_strategies` order."""
+    supports = [enumerate_support(d, b) for b in TRIPLES]
+    return [
+        sum(Fraction(1, 8 << s.dim) for b, s in zip(TRIPLES, supports)
+            if affine_output_string(d, strategy, b) in s)
+        for strategy in all_affine_strategies()
+    ]
 
 
-@pytest.mark.parametrize("d,T", [
-    (d, T) for d in (4, 6, 8, 64, 1024) for T in sorted({1, d // 4})
-])
-def test_the_column_scan_is_the_row_sum_to_the_bit(d, T):
+@pytest.mark.parametrize("d,T", [(64, 1), (64, 16), (1024, 1), (1024, 256)])
+def test_min_tv_is_one_minus_the_exact_top_mass_at_large_d(d, T):
+    # 1 - mass rounds to 1.0 here, and at d=1024 the float masses underflow,
+    # so only exact masses can name the maximizer
+    masses = _fraction_hit_masses(d)
+    top = max(masses)
     tv, witness = min_tv_affine_adversary(d, T)
-    assert (tv, witness.strategy, witness.biases) == _row_sum_min_tv(d)
+    assert tv == float(1 - top)
+    assert witness.strategy == list(all_affine_strategies())[masses.index(top)]
+    assert witness.biases == (0.5, 0.5, 0.5)
 
 
-def test_outer_product_bias_table_equals_the_meshgrid_form():
-    grid, q = separation._bias_table()
-    combos, ref_q = _meshgrid_bias_table()
-    assert np.array_equal(q, ref_q)
-    # the g-th bias triple is the grid at g's indices in C order
-    indices = np.stack(np.unravel_index(np.arange(23**3), (23,) * 3), axis=1)
-    assert np.array_equal(grid[indices], combos)
+@pytest.mark.parametrize("d", [4, 6])
+def test_no_product_bias_beats_the_closed_form(d):
+    rng = np.random.default_rng(d)
+    biases = rng.random((500, 3))
+    # faces and corners of the bias cube
+    biases[:100, 0] = rng.integers(0, 2, 100)
+    biases[100:150] = rng.integers(0, 2, (50, 3))
+    q = _triple_probabilities(biases)
+    masses = [2.0**-enumerate_support(d, b).dim / 8 for b in TRIPLES]
+    patterns = np.unique(separation._hit_patterns(d)).tolist()
+    for pattern in patterns:
+        gamma_hits = np.array([m if pattern >> j & 1 else 0.0 for j, m in enumerate(masses)])
+        bound = 1.0 - gamma_hits.sum()
+        assert (_explicit_tv(q, gamma_hits) >= bound - 1e-15).all(), pattern
+        uniform = _explicit_tv(_triple_probabilities((0.5, 0.5, 0.5)), gamma_hits)
+        assert float(uniform[0]) == pytest.approx(bound, abs=1e-15)
+        if pattern:
+            # a bias that never draws the first hit triple pays its mass again
+            j = (pattern & -pattern).bit_length() - 1
+            off = [1.0 - bit for bit in TRIPLES[j]]
+            assert float(_explicit_tv(_triple_probabilities(off), gamma_hits)[0]) > bound
+    top = max(sum(m for j, m in enumerate(masses) if p >> j & 1) for p in patterns)
+    assert min_tv_affine_adversary(d, 1)[0] == pytest.approx(1.0 - top, abs=1e-15)
 
 
 def _unit_strategies():

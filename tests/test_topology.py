@@ -92,6 +92,8 @@ def test_neighborhood_and_distance():
     assert neighborhood(g, 0, 1) == {0, 1, 5, 6}
     with pytest.raises(ValueError):
         neighborhood(g, 99, 1)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        neighborhood(g, 0, -1)
 
 
 def test_disjoint_copies():
